@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from functools import cache
 
-from .scalars import common_ring, scalar_str
+from .scalars import common_ring, ring_of, scalar_str
 
 
 def merge_bounds(a, b):
@@ -143,7 +143,7 @@ class Element:
         return self + (-other)
 
     def scaled(self, coeff):
-        ring = common_ring(self.ring, _scalar_ring(coeff))
+        ring = common_ring(self.ring, ring_of(coeff))
         c = ring(coeff)
         if not c:
             return type(self)(ring, self.basis, {}, bound=self.bound)
@@ -196,12 +196,6 @@ class Element:
         return f"{type(self).__name__}({' + '.join(bits)}{more})"
 
 
-def _scalar_ring(c):
-    from .scalars import ring_of
-
-    return ring_of(c)
-
-
 def word_product(f: Element, g: Element):
     """Bilinear concatenation product for multiplicative (word) bases."""
     a, b = f._aligned(g)
@@ -221,6 +215,141 @@ def word_product(f: Element, g: Element):
             else:
                 terms.pop(key, None)
     return type(f)(a.ring, a.basis, terms, bound=bound)
+
+
+# --------------------------------------------------------------------------
+# Sparse kernels on term dicts.  Each holds one accumulate-and-drop-zero
+# loop; the algebras supply only their key tables, whose entries are
+# (key, multiplier) pairs with the multiplier an int or a scalar.
+
+
+def expand(terms: dict, table) -> dict:
+    """Word substitution: each key is replaced by the combination
+    ``table(key)``."""
+    out: dict = {}
+    for key, c in terms.items():
+        for new_key, mult in table(key):
+            s = out.get(new_key)
+            s = mult * c if s is None else s + mult * c
+            if s:
+                out[new_key] = s
+            else:
+                out.pop(new_key, None)
+    return out
+
+
+def expand_letters(terms: dict, letter_table) -> dict:
+    """Letter substitution: each word becomes the concatenation product of
+    the combinations ``letter_table(letter)`` of its letters.
+
+    Letters expand to nonempty words, so only the empty word reaches the
+    empty key; the last letter of each word accumulates straight into the
+    result.
+    """
+    out: dict = {}
+    for word, c in terms.items():
+        if not word:
+            out[()] = c
+            continue
+        acc = {(): c}
+        last = len(word) - 1
+        for i, letter in enumerate(word):
+            tails = letter_table(letter)
+            nxt = out if i == last else {}
+            for prefix, c0 in acc.items():
+                for tail, mult in tails:
+                    key = prefix + tail
+                    s = nxt.get(key)
+                    s = mult * c0 if s is None else s + mult * c0
+                    if s:
+                        nxt[key] = s
+                    else:
+                        nxt.pop(key, None)
+            acc = nxt
+    return out
+
+
+def internal(u: dict, v: dict, structure, degree) -> dict:
+    """Degreewise internal product of two term dicts.
+
+    ``structure(I, J)`` gives the integer structure constants of I * J as
+    (key, multiplicity) pairs; cross-degree products vanish, so ``v`` is
+    grouped by ``degree`` once and only pairs of equal degree are
+    evaluated.
+    """
+    by_degree: dict = {}
+    for J, cv in v.items():
+        by_degree.setdefault(degree(J), []).append((J, cv))
+    out: dict = {}
+    for I, cu in u.items():
+        for J, cv in by_degree.get(degree(I), ()):
+            c = cu * cv
+            for K, mult in structure(I, J):
+                s = out.get(K)
+                s = mult * c if s is None else s + mult * c
+                if s:
+                    out[K] = s
+                else:
+                    out.pop(K, None)
+    return out
+
+
+def coproduct(terms: dict, split) -> dict:
+    """Coproduct of a multiplicative basis whose generating letters split
+    as ``split(letter)``, a tuple of (left word, right word) pairs; words
+    split letter by letter.  Returns (left key, right key) -> coefficient.
+    """
+    out: dict = {}
+    for word, c in terms.items():
+        parts = {((), ()): 1}
+        for letter in word:
+            nxt: dict = {}
+            for (lw, rw), mult in parts.items():
+                for lt, rt in split(letter):
+                    key = (lw + lt, rw + rt)
+                    nxt[key] = nxt.get(key, 0) + mult
+            parts = nxt
+        for key, mult in parts.items():
+            s = out.get(key)
+            s = mult * c if s is None else s + mult * c
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return out
+
+
+def coarsenings(key: tuple, merge) -> tuple:
+    """All ways to merge adjacent letters of a word, each with its number
+    of merges.  ``merge(a, b)`` is the merged letter, or None where a and b
+    may not merge."""
+    if not key:
+        return (((), 0),)
+    out = [((key[0],), 0)]
+    for letter in key[1:]:
+        nxt = []
+        for word, merges in out:
+            nxt.append((word + (letter,), merges))
+            merged = merge(word[-1], letter)
+            if merged is not None:
+                nxt.append((word[:-1] + (merged,), merges + 1))
+        out = nxt
+    return tuple(out)
+
+
+def internal_words(rows: tuple, cols: tuple, read) -> tuple:
+    """Structure constants of the internal product of two complete words.
+
+    Each matrix with row sums ``rows`` and column sums ``cols`` contributes
+    the word ``read(reading)`` of its column reading (see
+    :func:`column_reading_structure`).  Returns the sorted (word,
+    multiplicity) pairs.
+    """
+    acc: dict = {}
+    for reading, mult in column_reading_structure(rows, cols):
+        word = read(reading)
+        acc[word] = acc.get(word, 0) + mult
+    return tuple(sorted(acc.items()))
 
 
 def matrices_with_margins(rows: tuple[int, ...], cols: tuple[int, ...]):

@@ -3,8 +3,9 @@
 Every verification in the package is exposed as a subcommand with
 deterministic, machine-readable output.  Exit status 0 means every check
 requested by the invocation passed; mismatches exit 1 and carry a JSON
-diff.  Degree caps are enforced per subcommand, since exact arithmetic
-cost grows steeply with the degree.
+diff.  Invalid input, including a degree above its subcommand's cap (exact
+arithmetic cost grows steeply with the degree), is a usage error: a one-line
+message and exit status 2.
 """
 
 from __future__ import annotations
@@ -49,11 +50,27 @@ CAPS = {
 }
 
 
+class UsageError(Exception):
+    """Invalid input that argument parsing alone cannot catch."""
+
+
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def integer(text):
+        value = int(text)  # argparse reports a ValueError as an invalid integer
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return integer
+
+
 def _cap(args_value: int, key: str, what: str):
     cap = CAPS[key]
     if args_value > cap:
-        raise SystemExit(
-            f"error: {what} {args_value} exceeds the documented cap {cap} "
+        raise UsageError(
+            f"{what} {args_value} exceeds the documented cap {cap} "
             f"for {key} (exact-arithmetic cost)"
         )
 
@@ -159,7 +176,13 @@ def cmd_klyachko(args):
 
 
 def cmd_bmaj(args):
-    jc = parse_colored_composition(args.composition, args.colors)
+    try:
+        jc = parse_colored_composition(args.composition, args.colors)
+    except ValueError:
+        raise UsageError(
+            f"argument --composition: not a colored composition of level "
+            f"{args.colors}: {args.composition!r}"
+        ) from None
     weights = part_weights(jc, args.colors)
     by_weights = flag_major_index_by_weights(jc, args.colors)
     payload = {
@@ -278,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
         "hilbert", parents=[common], help="dimension scan of a graded subspace"
     )
     p.add_argument("--algebra", required=True, choices=peak.ALGEBRAS)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--r", type=_at_least(1), required=True)
+    p.add_argument("--max-degree", type=_at_least(0), required=True)
     p.set_defaults(fn=cmd_hilbert)
 
     p = sub.add_parser("closure", parents=[common], help="internal-product closure checks")
@@ -288,12 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("unital-peak", "q-ring", "q-module", "bsym"),
     )
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--r", type=_at_least(1), default=2)
+    p.add_argument("--degree", type=_at_least(0), required=True)
     p.set_defaults(fn=cmd_closure)
 
     p = sub.add_parser("klyachko", parents=[common], help="type-B q-Klyachko element")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(0), required=True)
     p.add_argument("--check", action="store_true")
     p.set_defaults(fn=cmd_klyachko)
 
@@ -301,38 +324,38 @@ def build_parser() -> argparse.ArgumentParser:
         "bmaj", parents=[common], help="flag major index of a colored composition"
     )
     p.add_argument("--composition", required=True)
-    p.add_argument("--colors", type=int, default=2)
+    p.add_argument("--colors", type=_at_least(1), default=2)
     p.set_defaults(fn=cmd_bmaj)
 
     p = sub.add_parser("monomial", parents=[common], help="monomial expansion identities")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     p.set_defaults(fn=cmd_monomial)
 
     p = sub.add_parser(
         "oracle", parents=[common], help="group-algebra anti-isomorphism checks"
     )
     p.add_argument("--group", required=True, choices=("Sn", "Bn"))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser(
         "invert-sharp", parents=[common], help="inverse of the generic superization"
     )
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--max-degree", type=_at_least(0), required=True)
     p.set_defaults(fn=cmd_invert_sharp)
 
     p = sub.add_parser(
         "generators", parents=[common], help="generator normalization check"
     )
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--r", type=_at_least(1), default=None)
+    p.add_argument("--max-degree", type=_at_least(1), required=True)
     p.set_defaults(fn=cmd_generators)
 
     p = sub.add_parser(
         "identities", parents=[common], help="q = +1 / -1 series identities"
     )
     p.add_argument("--q", type=int, required=True, choices=(1, -1))
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--max-degree", type=_at_least(0), required=True)
     p.set_defaults(fn=cmd_identities)
 
     return parser
@@ -341,7 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    ok, payload, lines = args.fn(args)
+    try:
+        ok, payload, lines = args.fn(args)
+    except UsageError as exc:
+        parser.error(str(exc))
     envelope = {
         "schema": SCHEMA,
         "command": args.command,

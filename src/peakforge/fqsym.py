@@ -11,7 +11,7 @@ out of scope here.
 
 from __future__ import annotations
 
-from .algebra import Element, merge_bounds
+from .algebra import Element, internal, merge_bounds
 from .combinatorics import (
     descent_positions,
     inverse,
@@ -123,25 +123,17 @@ def convert(f: FqsymElement, basis: str) -> FqsymElement:
     raise ValueError(f"unknown basis {basis!r}")
 
 
+def _composition(p, t):
+    return ((compose(p, t), 1),)
+
+
 def internal_product(f: FqsymElement, g: FqsymElement) -> FqsymElement:
     """Degreewise internal product: composition on the F basis."""
     a = convert(f, F)
     b = convert(g, F)
     ring = common_ring(a.ring, b.ring)
     a, b = a.with_ring(ring), b.with_ring(ring)
-    out: dict = {}
-    for p, cp in a.terms.items():
-        for t, ct in b.terms.items():
-            if len(p) != len(t):
-                continue
-            key = compose(p, t)
-            c = cp * ct
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+    out = internal(a.terms, b.terms, _composition, len)
     result = FqsymElement(ring, F, out, bound=merge_bounds(a.bound, b.bound))
     return convert(result, f.basis)
 

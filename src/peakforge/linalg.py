@@ -11,6 +11,17 @@ and the stored basis is canonical.
 from __future__ import annotations
 
 
+def _subtract_multiple(target: dict, c, row: dict):
+    """target -= c * row in place, dropping the entries that cancel."""
+    for j, rc in row.items():
+        newc = target.get(j)
+        newc = -c * rc if newc is None else newc - c * rc
+        if newc:
+            target[j] = newc
+        else:
+            target.pop(j, None)
+
+
 class GradedSubspace:
     """Echelonized span of sparse vectors inside one graded component.
 
@@ -61,21 +72,9 @@ class GradedSubspace:
             c = v.get(i)
             if not c:
                 continue
-            for j, rc in row.items():
-                newc = v.get(j, None)
-                newc = -c * rc if newc is None else newc - c * rc
-                if newc:
-                    v[j] = newc
-                else:
-                    v.pop(j, None)
+            _subtract_multiple(v, c, row)
             if combo is not None:
-                for label, rc in self._combos[i].items():
-                    newc = combo.get(label, None)
-                    newc = -c * rc if newc is None else newc - c * rc
-                    if newc:
-                        combo[label] = newc
-                    else:
-                        combo.pop(label, None)
+                _subtract_multiple(combo, c, self._combos[i])
 
     def insert(self, vec, label=None) -> bool:
         """Enlarge the span by a vector; True iff the rank grew."""
@@ -98,22 +97,9 @@ class GradedSubspace:
             c = other.get(pivot)
             if not c:
                 continue
-            for j, rc in row.items():
-                newc = other.get(j, None)
-                newc = -c * rc if newc is None else newc - c * rc
-                if newc:
-                    other[j] = newc
-                else:
-                    other.pop(j, None)
+            _subtract_multiple(other, c, row)
             if self._combos is not None:
-                target = self._combos[i]
-                for l, rc in combo.items():
-                    newc = target.get(l, None)
-                    newc = -c * rc if newc is None else newc - c * rc
-                    if newc:
-                        target[l] = newc
-                    else:
-                        target.pop(l, None)
+                _subtract_multiple(self._combos[i], c, combo)
         self._rows[pivot] = row
         if self._combos is not None:
             self._combos[pivot] = combo
@@ -130,32 +116,12 @@ class GradedSubspace:
         if self._combos is None:
             raise ValueError("subspace was not built with track=True")
         v = self._indexed(vec)
-        acc: dict = {}
-        rows = self._rows
-        for i in sorted(v):
-            row = rows.get(i)
-            if row is None:
-                continue
-            c = v.get(i)
-            if not c:
-                continue
-            for j, rc in row.items():
-                newc = v.get(j, None)
-                newc = -c * rc if newc is None else newc - c * rc
-                if newc:
-                    v[j] = newc
-                else:
-                    v.pop(j, None)
-            for label, rc in self._combos[i].items():
-                newc = acc.get(label, None)
-                newc = c * rc if newc is None else newc + c * rc
-                if newc:
-                    acc[label] = newc
-                else:
-                    acc.pop(label, None)
+        combo: dict = {}
+        self._reduce(v, combo)
         if v:
             return None
-        return acc
+        # _reduce accumulates the negated combination
+        return {label: -c for label, c in combo.items()}
 
     def basis(self):
         """Echelon rows as key-indexed dicts, sorted by pivot."""

@@ -19,9 +19,19 @@ the left acts through the bar involution.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache, partial
 
-from .algebra import Element, column_reading_structure, merge_bounds, word_product
+from . import algebra
+from .algebra import (
+    Element,
+    coarsenings,
+    expand,
+    expand_letters,
+    internal,
+    internal_words,
+    merge_bounds,
+    word_product,
+)
 from .combinatorics import (
     colored_compositions,
     colored_weight,
@@ -78,49 +88,27 @@ def bar(f: MrElement) -> MrElement:
 # Basis conversions: same-color coarsening
 
 
-@cache
-def _colored_coarsenings(key):
-    """All ways to merge adjacent equal-colored parts, with merge counts."""
-    if not key:
-        return (((), 0),)
-    optional = [i for i in range(len(key) - 1) if key[i][1] == key[i + 1][1]]
-    out = []
-    for mask in range(1 << len(optional)):
-        merged = [list(key[0])]
-        take = {optional[b] for b in range(len(optional)) if mask >> b & 1}
-        for i in range(1, len(key)):
-            if (i - 1) in take:
-                merged[-1][0] += key[i][0]
-            else:
-                merged.append(list(key[i]))
-        out.append((tuple((s, c) for s, c in merged), len(take)))
-    return tuple(out)
+def _merge_same_color(a, b):
+    return (a[0] + b[0], a[1]) if a[1] == b[1] else None
 
 
 @cache
 def _complete_to_ribbon(key):
-    return tuple((k, 1) for k, _ in _colored_coarsenings(key))
+    return tuple((k, 1) for k, _ in coarsenings(key, _merge_same_color))
 
 
 @cache
 def _ribbon_to_complete(key):
-    return tuple((k, -1 if m % 2 else 1) for k, m in _colored_coarsenings(key))
+    return tuple(
+        (k, -1 if m % 2 else 1) for k, m in coarsenings(key, _merge_same_color)
+    )
 
 
 def convert(f: MrElement, basis: str) -> MrElement:
     if basis == f.basis:
         return f
     table = _ribbon_to_complete if f.basis == R else _complete_to_ribbon
-    out: dict = {}
-    for key, c in f.terms.items():
-        for new_key, sign in table(key):
-            s = out.get(new_key)
-            s = sign * c if s is None else s + sign * c
-            if s:
-                out[new_key] = s
-            else:
-                out.pop(new_key, None)
-    return MrElement(f.ring, basis, out, bound=f.bound)
+    return MrElement(f.ring, basis, expand(f.terms, table), bound=f.bound)
 
 
 # --------------------------------------------------------------------------
@@ -132,32 +120,19 @@ def product(f: MrElement, g: MrElement) -> MrElement:
     return convert(out, f.basis)
 
 
+@cache
+def _split(letter):
+    size, color = letter
+    return tuple(
+        (((i, color),) if i else (), ((size - i, color),) if size - i else ())
+        for i in range(size + 1)
+    )
+
+
 def coproduct(f: MrElement) -> dict:
     """Coproduct in the S (x) S basis; both colored complete series are
     grouplike, so letters split within their color."""
-    f = convert(f, S)
-    out: dict = {}
-    for word, c in f.terms.items():
-        parts = {((), ()): 1}
-        for size, color in word:
-            nxt: dict = {}
-            for (lw, rw), mult in parts.items():
-                for i in range(size + 1):
-                    j = size - i
-                    key = (
-                        lw + (((i, color),) if i else ()),
-                        rw + (((j, color),) if j else ()),
-                    )
-                    nxt[key] = nxt.get(key, 0) + mult
-            parts = nxt
-        for key, mult in parts.items():
-            s = out.get(key)
-            s = mult * c if s is None else s + mult * c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
+    return algebra.coproduct(convert(f, S).terms, _split)
 
 
 @cache
@@ -169,22 +144,19 @@ def internal_structure(left, right):
     letter of the left word bars the column it extracts, so the output
     colors are the XOR of the row and column colors.
     """
-    lsizes = tuple(s for s, _ in left)
-    rsizes = tuple(s for s, _ in right)
-    if sum(lsizes) != sum(rsizes):
-        return ()
-    lcolors = tuple(c for _, c in left)
-    rcolors = tuple(c for _, c in right)
-    acc: dict = {}
-    for reading, mult in column_reading_structure(rsizes, lsizes):
-        word = []
-        for col_index, col in enumerate(reading):
-            u = lcolors[col_index]
-            for row_index, value in col:
-                word.append((value, rcolors[row_index] ^ u))
-        key = tuple(word)
-        acc[key] = acc.get(key, 0) + mult
-    return tuple(sorted(acc.items()))
+
+    def read(reading):
+        return tuple(
+            [
+                (value, right[row][1] ^ left[c][1])
+                for c, col in enumerate(reading)
+                for row, value in col
+            ]
+        )
+
+    return internal_words(
+        tuple(s for s, _ in right), tuple(s for s, _ in left), read
+    )
 
 
 def internal_product(f: MrElement, g: MrElement) -> MrElement:
@@ -192,20 +164,7 @@ def internal_product(f: MrElement, g: MrElement) -> MrElement:
     b = convert(g, S)
     ring = common_ring(a.ring, b.ring)
     a, b = a.with_ring(ring), b.with_ring(ring)
-    out: dict = {}
-    for I, ca in a.terms.items():
-        dI = colored_weight(I)
-        for J, cb in b.terms.items():
-            if colored_weight(J) != dI:
-                continue
-            c = ca * cb
-            for K, mult in internal_structure(I, J):
-                s = out.get(K)
-                s = mult * c if s is None else s + mult * c
-                if s:
-                    out[K] = s
-                else:
-                    out.pop(K, None)
+    out = internal(a.terms, b.terms, internal_structure, colored_weight)
     result = MrElement(ring, S, out, bound=merge_bounds(a.bound, b.bound))
     return convert(result, f.basis)
 
@@ -214,32 +173,19 @@ def internal_product(f: MrElement, g: MrElement) -> MrElement:
 # Series
 
 
+def _tagged(f: sym.SymElement, color: int) -> MrElement:
+    """A Sym series on one alphabet: every letter gets the same color."""
+    terms = {tuple((p, color) for p in I): c for I, c in f.terms.items()}
+    return MrElement(f.ring, S, terms, bound=f.bound)
+
+
 def sigma_series(ring, n_max: int, color: int = 0) -> MrElement:
-    terms = {(): ring(1)}
-    for n in range(1, n_max + 1):
-        terms[((n, color),)] = ring(1)
-    return MrElement(ring, S, terms, bound=n_max)
+    return _tagged(sym.sigma_series(ring, n_max), color)
 
 
 def lambda_series(ring, n_max: int, t=None, color: int = 0) -> MrElement:
     """sum_k t^k Lambda_k on the chosen alphabet, in the colored S basis."""
-    t = ring(1) if t is None else ring(t)
-    terms: dict = {(): ring(1)}
-    power = ring(1)
-    for k in range(1, n_max + 1):
-        power = power * t
-        if not power:
-            continue
-        for I, sign in sym._alternating_words(k):
-            key = tuple((p, color) for p in I)
-            c = sign * power
-            s = terms.get(key)
-            s = c if s is None else s + c
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-    return MrElement(ring, S, terms, bound=n_max)
+    return _tagged(sym.lambda_series(ring, n_max, t), color)
 
 
 def superization_series(q, n_max: int) -> MrElement:
@@ -260,8 +206,11 @@ def flat_series(n_max: int, ring=QQ) -> MrElement:
     )
 
 
-@cache
-def _sharp_letter(q, size: int, color: int):
+# typed: equal scalars of different fields, such as -1 in Q and in
+# Q(zeta_2), hash alike but give tables over different rings
+@lru_cache(maxsize=None, typed=True)
+def _sharp_letter(q, letter):
+    size, color = letter
     series = superization_series(q, size)
     if color == 1:
         series = bar(series)
@@ -275,46 +224,19 @@ def superization(f: MrElement, q) -> MrElement:
     the tests)."""
     ring = common_ring(ring_of(q), f.ring)
     a = convert(f, S).with_ring(ring)
-    q = ring(q)
-    out: dict = {}
-    for word, c in a.terms.items():
-        acc = {(): c}
-        for size, color in word:
-            nxt: dict = {}
-            for prefix, c0 in acc.items():
-                for tail, coeff in _sharp_letter(q, size, color):
-                    key = prefix + tail
-                    s = nxt.get(key)
-                    s = coeff * c0 if s is None else s + coeff * c0
-                    if s:
-                        nxt[key] = s
-                    else:
-                        nxt.pop(key, None)
-            acc = nxt
-        for key, c0 in acc.items():
-            s = out.get(key)
-            s = c0 if s is None else s + c0
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    result = MrElement(ring, S, out, bound=a.bound)
-    return convert(result, f.basis)
+    out = expand_letters(a.terms, partial(_sharp_letter, ring(q)))
+    return convert(MrElement(ring, S, out, bound=a.bound), f.basis)
+
+
+def _forget_colors(key):
+    return ((tuple(s for s, _ in key), 1),)
 
 
 def specialize_bar(f: MrElement):
     """The algebra morphism identifying the two alphabets: forget colors."""
     a = convert(f, S)
-    out: dict = {}
-    for key, c in a.terms.items():
-        word = tuple(s for s, _ in key)
-        v = out.get(word)
-        v = c if v is None else v + c
-        if v:
-            out[word] = v
-        else:
-            out.pop(word, None)
-    return sym.SymElement(a.ring, sym.S, out, bound=a.bound)
+    terms = expand(a.terms, _forget_colors)
+    return sym.SymElement(a.ring, sym.S, terms, bound=a.bound)
 
 
 # --------------------------------------------------------------------------
@@ -331,7 +253,7 @@ def bsym_complete(comp, ring=QQ) -> MrElement:
         out = monomial(ring, ((comp[0], 0),))
     q = ring(-1)
     for part in comp[1:]:
-        out = product(out, MrElement(ring, S, dict(_sharp_letter(q, part, 0))))
+        out = product(out, MrElement(ring, S, dict(_sharp_letter(q, (part, 0)))))
     return out
 
 

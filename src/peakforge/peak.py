@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .combinatorics import colored_compositions, compositions
+from .algebra import internal
+from .combinatorics import colored_compositions, colored_weight, compositions
 from .linalg import GradedSubspace
 from .scalars import QQ, QQq, cyclotomic_field
 from . import mr
@@ -197,24 +198,6 @@ def subspace(algebra: str, n: int, r: int) -> GradedSubspace:
 # Closure checks
 
 
-def _dict_internal_product(ring, u: dict, v: dict, structure) -> dict:
-    out: dict = {}
-    for I, cu in u.items():
-        for J, cv in v.items():
-            pairs = structure(I, J)
-            if not pairs:
-                continue
-            c = cu * cv
-            for K, mult in pairs:
-                s = out.get(K)
-                s = mult * c if s is None else s + mult * c
-                if s:
-                    out[K] = s
-                else:
-                    out.pop(K, None)
-    return out
-
-
 def closure_check(sub: GradedSubspace, algebra: str, ideal: bool = False):
     """Check closure of an echelonized subspace under the degreewise
     internal product.
@@ -225,9 +208,9 @@ def closure_check(sub: GradedSubspace, algebra: str, ideal: bool = False):
     Returns (ok, witness) where the witness names the first failing pair.
     """
     if algebra == "sym":
-        structure = sym.internal_structure
+        structure, degree = sym.internal_structure, sum
     elif algebra == "mr":
-        structure = mr.internal_structure
+        structure, degree = mr.internal_structure, colored_weight
     else:
         raise ValueError(f"unknown algebra {algebra!r}")
     rows = sub.basis()
@@ -238,8 +221,7 @@ def closure_check(sub: GradedSubspace, algebra: str, ideal: bool = False):
         lefts = list(zip(rows, pivots))
     for u, utag in lefts:
         for v, vtag in zip(rows, pivots):
-            prod = _dict_internal_product(sub.ring, u, v, structure)
-            if not sub.contains(prod):
+            if not sub.contains(internal(u, v, structure, degree)):
                 return False, {"left": utag, "right": vtag}
     return True, None
 

@@ -180,10 +180,6 @@ def _pxgcd(a, b):
     return r0, s0, t0
 
 
-def _fraction_str(c):
-    return str(c)
-
-
 def _poly_str(coeffs, var="q"):
     if not coeffs:
         return "0"
@@ -192,7 +188,7 @@ def _poly_str(coeffs, var="q"):
         if not c:
             continue
         if k == 0:
-            body = _fraction_str(c)
+            body = str(c)
         else:
             power = var if k == 1 else f"{var}^{k}"
             if c == 1:
@@ -200,7 +196,7 @@ def _poly_str(coeffs, var="q"):
             elif c == -1:
                 body = "-" + power
             else:
-                body = f"{_fraction_str(c)}*{power}"
+                body = f"{c}*{power}"
         if parts and not body.startswith("-"):
             parts.append("+" + body)
         else:
@@ -209,10 +205,54 @@ def _poly_str(coeffs, var="q"):
 
 
 # --------------------------------------------------------------------------
+# Operations shared by the two field element types
+
+
+class _FieldElement:
+    """Subtraction, reflected division and integer powers, in terms of
+    ``_coerce`` and the arithmetic each field element type defines."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other / self
+
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
+        one = self._coerce(1)
+        if k < 0:
+            return (one / self) ** (-k)
+        out = one
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+
+# --------------------------------------------------------------------------
 # Q(q)
 
 
-class RatFunc:
+class RatFunc(_FieldElement):
     """A rational function in q over Q, in canonical reduced form.
 
     The denominator is monic and coprime to the numerator; the zero element
@@ -259,6 +299,9 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a constant hashes like the equal Fraction, since it compares equal
+        if self.den == _ONE and len(self.num) < 2:
+            return hash(self.num[0] if self.num else _F0)
         return hash((RatFunc, self.num, self.den))
 
     def __neg__(self):
@@ -284,18 +327,6 @@ class RatFunc:
         )
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        other = RatFunc._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = RatFunc._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         other = RatFunc._coerce(other)
@@ -329,26 +360,6 @@ class RatFunc:
         if not other.num:
             raise ZeroDivisionError("division by zero rational function")
         return RatFunc(_pmul(self.num, other.den), _pmul(self.den, other.num))
-
-    def __rtruediv__(self, other):
-        other = RatFunc._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return (RatFunc(_ONE) / self) ** (-k)
-        out = RatFunc(_ONE)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def __str__(self):
         if self.den == _ONE:
@@ -451,7 +462,7 @@ def cyclotomic_field(r: int) -> CyclotomicField:
     return CyclotomicField(r)
 
 
-class Cyclo:
+class Cyclo(_FieldElement):
     """An element of Q(zeta_r): integer coefficient vector over a common
     positive denominator, reduced mod Phi_r, gcd one."""
 
@@ -494,6 +505,9 @@ class Cyclo:
         return self.vec == other.vec and self.den == other.den
 
     def __hash__(self):
+        # a rational hashes like the equal Fraction, since it compares equal
+        if not any(self.vec[1:]):
+            return hash(Fraction(self.vec[0], self.den))
         return hash((Cyclo, self.field.order, self.vec, self.den))
 
     def __neg__(self):
@@ -521,18 +535,6 @@ class Cyclo:
         )
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -582,26 +584,6 @@ class Cyclo:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = self.field.one
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __str__(self):
         inner = ",".join(str(c) for c in self.coeffs)
         return f"[{inner}]@{self.field.order}"
@@ -639,13 +621,10 @@ class RationalFunctionField:
         self.q = RatFunc((_F0, _F1))
 
     def __call__(self, x):
-        if isinstance(x, RatFunc):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return RatFunc((Fraction(x),))
-        if isinstance(x, Cyclo):
-            raise TypeError("cannot coerce a cyclotomic number into Q(q)")
-        raise TypeError(f"cannot coerce {x!r} into Q(q)")
+        value = RatFunc._coerce(x)
+        if value is None:
+            raise TypeError(f"cannot coerce {x!r} into Q(q)")
+        return value
 
     def __repr__(self):
         return self.name

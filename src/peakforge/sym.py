@@ -17,10 +17,21 @@ the test suite).
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache, partial
+from operator import add
 
-from .algebra import Element, column_reading_structure, merge_bounds, word_product
-from .combinatorics import permutations_by_descent
+from . import algebra
+from .algebra import (
+    Element,
+    coarsenings,
+    expand,
+    expand_letters,
+    internal,
+    internal_words,
+    merge_bounds,
+    word_product,
+)
+from .combinatorics import compositions, permutations_by_descent
 from .scalars import common_ring, ring_of
 
 S, L, R = "S", "L", "R"
@@ -46,119 +57,43 @@ def unit(ring) -> SymElement:
 
 
 # --------------------------------------------------------------------------
-# Basis conversions.  Everything routes through the S basis.
+# Basis conversions
 
 
 @cache
 def _alternating_words(n: int):
     """Expansion of the n-th elementary in the S basis (and of S_n in the
     elementary basis): sum over compositions I of n of (-1)^(n - len(I)) S^I."""
-    out = []
-    for I in _compositions(n):
-        sign = -1 if (n - len(I)) % 2 else 1
-        out.append((I, sign))
-    return tuple(out)
-
-
-@cache
-def _compositions(n: int):
-    from .combinatorics import compositions
-
-    return tuple(compositions(n))
-
-
-@cache
-def _coarsenings(I: tuple[int, ...]):
-    """All ways to merge adjacent parts of I, with the number of merges."""
-    if not I:
-        return (((), 0),)
-    out = []
-    boundaries = len(I) - 1
-    for mask in range(1 << boundaries):
-        parts = [I[0]]
-        merges = 0
-        for i in range(1, len(I)):
-            if mask >> (i - 1) & 1:
-                parts[-1] += I[i]
-                merges += 1
-            else:
-                parts.append(I[i])
-        out.append((tuple(parts), merges))
-    return tuple(out)
+    return tuple((I, -1 if (n - len(I)) % 2 else 1) for I in compositions(n))
 
 
 @cache
 def _complete_to_ribbon(I):
-    return tuple((J, 1) for J, _ in _coarsenings(I))
+    return tuple((J, 1) for J, _ in coarsenings(I, add))
 
 
 @cache
 def _ribbon_to_complete(I):
-    return tuple((J, -1 if m % 2 else 1) for J, m in _coarsenings(I))
-
-
-def _expand_words(terms, ring, table):
-    """Word-level substitution: each key is replaced by table(key)."""
-    out: dict = {}
-    for key, c in terms.items():
-        for new_key, sign in table(key):
-            s = out.get(new_key)
-            s = sign * c if s is None else s + sign * c
-            if s:
-                out[new_key] = s
-            else:
-                out.pop(new_key, None)
-    return out
-
-
-def _expand_letters(terms, ring, letter_table):
-    """Letterwise substitution: each word maps to the concatenation product
-    of the expansions of its letters."""
-    out: dict = {}
-    for word, c in terms.items():
-        acc = {(): c}
-        for letter in word:
-            nxt: dict = {}
-            for prefix, c0 in acc.items():
-                for tail, sign in letter_table(letter):
-                    key = prefix + tail
-                    s = nxt.get(key)
-                    s = sign * c0 if s is None else s + sign * c0
-                    if s:
-                        nxt[key] = s
-                    else:
-                        nxt.pop(key, None)
-            acc = nxt
-        for key, c0 in acc.items():
-            s = out.get(key)
-            s = c0 if s is None else s + c0
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
+    return tuple((J, -1 if m % 2 else 1) for J, m in coarsenings(I, add))
 
 
 def convert(f: SymElement, basis: str) -> SymElement:
-    """Re-express an element in another basis; round-trips are exact."""
+    """Re-express an element in another basis, through S; round-trips are
+    exact."""
     if basis == f.basis:
         return f
+    terms = f.terms
     if f.basis == L:
-        terms = _expand_letters(f.terms, f.ring, _alternating_words)
-        g = SymElement(f.ring, S, terms, bound=f.bound)
-        return convert(g, basis)
-    if f.basis == R:
-        terms = _expand_words(f.terms, f.ring, _ribbon_to_complete)
-        g = SymElement(f.ring, S, terms, bound=f.bound)
-        return convert(g, basis)
-    # from S
+        terms = expand_letters(terms, _alternating_words)
+    elif f.basis == R:
+        terms = expand(terms, _ribbon_to_complete)
     if basis == L:
-        terms = _expand_letters(f.terms, f.ring, _alternating_words)
-        return SymElement(f.ring, L, terms, bound=f.bound)
-    if basis == R:
-        terms = _expand_words(f.terms, f.ring, _complete_to_ribbon)
-        return SymElement(f.ring, R, terms, bound=f.bound)
-    raise ValueError(f"unknown basis {basis!r}")
+        terms = expand_letters(terms, _alternating_words)
+    elif basis == R:
+        terms = expand(terms, _complete_to_ribbon)
+    elif basis != S:
+        raise ValueError(f"unknown basis {basis!r}")
+    return SymElement(f.ring, basis, terms, bound=f.bound)
 
 
 # --------------------------------------------------------------------------
@@ -171,36 +106,26 @@ def product(f: SymElement, g: SymElement) -> SymElement:
     return convert(out, f.basis)
 
 
+@cache
+def _split(k: int):
+    return tuple(((i,) if i else (), (k - i,) if k - i else ()) for i in range(k + 1))
+
+
 def coproduct(f: SymElement) -> dict:
     """Coproduct in the S (x) S basis, as a map (left key, right key) -> coeff.
 
     The complete generating series is grouplike, so each letter S_k splits
     as sum over i + j = k of S_i (x) S_j and words split multiplicatively.
     """
-    f = convert(f, S)
-    out: dict = {}
-    for word, c in f.terms.items():
-        parts = {((), ()): 1}
-        for k in word:
-            nxt: dict = {}
-            for (lw, rw), mult in parts.items():
-                for i in range(k + 1):
-                    j = k - i
-                    key = (lw + ((i,) if i else ()), rw + ((j,) if j else ()))
-                    nxt[key] = nxt.get(key, 0) + mult
-            parts = nxt
-        for key, mult in parts.items():
-            s = out.get(key)
-            s = mult * c if s is None else s + mult * c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
+    return algebra.coproduct(convert(f, S).terms, _split)
 
 
 # --------------------------------------------------------------------------
 # Internal product
+
+
+def _read_values(reading):
+    return tuple([value for col in reading for _, value in col])
 
 
 @cache
@@ -212,13 +137,7 @@ def internal_structure(I, J):
     sums J and column sums I; the resulting word reads the columns left to
     right, each top to bottom.
     """
-    if sum(I) != sum(J):
-        return ()
-    acc: dict = {}
-    for reading, mult in column_reading_structure(J, I):
-        word = tuple(v for col in reading for _, v in col)
-        acc[word] = acc.get(word, 0) + mult
-    return tuple(sorted(acc.items()))
+    return internal_words(J, I, _read_values)
 
 
 def internal_product(f: SymElement, g: SymElement) -> SymElement:
@@ -227,20 +146,7 @@ def internal_product(f: SymElement, g: SymElement) -> SymElement:
     b = convert(g, S)
     ring = common_ring(a.ring, b.ring)
     a, b = a.with_ring(ring), b.with_ring(ring)
-    out: dict = {}
-    for I, ca in a.terms.items():
-        dI = sum(I)
-        for J, cb in b.terms.items():
-            if sum(J) != dI:
-                continue
-            c = ca * cb
-            for K, mult in internal_structure(I, J):
-                s = out.get(K)
-                s = mult * c if s is None else s + mult * c
-                if s:
-                    out[K] = s
-                else:
-                    out.pop(K, None)
+    out = internal(a.terms, b.terms, internal_structure, sum)
     result = SymElement(ring, S, out, bound=merge_bounds(a.bound, b.bound))
     return convert(result, f.basis)
 
@@ -249,25 +155,19 @@ def internal_product(f: SymElement, g: SymElement) -> SymElement:
 # Antipode and series
 
 
+@cache
+def _antipode_letter(k: int):
+    sign = -1 if k % 2 else 1
+    return tuple((I, sign * s) for I, s in _alternating_words(k))
+
+
 def antipode(f: SymElement) -> SymElement:
     """The Hopf antipode: S_n maps to (-1)^n times the n-th elementary, and
     products reverse."""
     a = convert(f, S)
-    out: dict = {}
-    for word, c in a.terms.items():
-        sign = -1 if sum(word) % 2 else 1
-        expanded = _expand_letters(
-            {tuple(reversed(word)): sign * c}, a.ring, _alternating_words
-        )
-        for key, v in expanded.items():
-            s = out.get(key)
-            s = v if s is None else s + v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    result = SymElement(a.ring, S, out, bound=a.bound)
-    return convert(result, f.basis)
+    reversed_terms = {word[::-1]: c for word, c in a.terms.items()}
+    out = expand_letters(reversed_terms, _antipode_letter)
+    return convert(SymElement(a.ring, S, out, bound=a.bound), f.basis)
 
 
 def sigma_series(ring, n_max: int) -> SymElement:
@@ -286,16 +186,8 @@ def lambda_series(ring, n_max: int, t=None) -> SymElement:
     power = ring(1)
     for k in range(1, n_max + 1):
         power = power * t
-        if not power:
-            continue
-        for I, sign in _alternating_words(k):
-            c = sign * power
-            s = terms.get(I)
-            s = c if s is None else s + c
-            if s:
-                terms[I] = s
-            else:
-                terms.pop(I, None)
+        # the words of distinct degrees are distinct: nothing accumulates
+        terms.update((I, sign * power) for I, sign in _alternating_words(k))
     return SymElement(ring, S, terms, bound=n_max)
 
 
@@ -306,7 +198,9 @@ def one_minus_q_series(q, n_max: int) -> SymElement:
     return product(lambda_series(ring, n_max, t=-q), sigma_series(ring, n_max))
 
 
-@cache
+# typed: equal scalars of different fields, such as -1 in Q and in
+# Q(zeta_2), hash alike but give tables over different rings
+@lru_cache(maxsize=None, typed=True)
 def _one_minus_q_letter(q, k: int):
     series = one_minus_q_series(q, k)
     return tuple(sorted(series.homogeneous(k).terms.items()))
@@ -320,31 +214,8 @@ def one_minus_q_transform(f: SymElement, q) -> SymElement:
     product against :func:`one_minus_q_series` (tested)."""
     ring = common_ring(ring_of(q), f.ring)
     a = convert(f, S).with_ring(ring)
-    q = ring(q)
-    out: dict = {}
-    for word, c in a.terms.items():
-        acc = {(): c}
-        for letter in word:
-            nxt: dict = {}
-            for prefix, c0 in acc.items():
-                for tail, coeff in _one_minus_q_letter(q, letter):
-                    key = prefix + tail
-                    s = nxt.get(key)
-                    s = coeff * c0 if s is None else s + coeff * c0
-                    if s:
-                        nxt[key] = s
-                    else:
-                        nxt.pop(key, None)
-            acc = nxt
-        for key, c0 in acc.items():
-            s = out.get(key)
-            s = c0 if s is None else s + c0
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    result = SymElement(ring, S, out, bound=a.bound)
-    return convert(result, f.basis)
+    out = expand_letters(a.terms, partial(_one_minus_q_letter, ring(q)))
+    return convert(SymElement(ring, S, out, bound=a.bound), f.basis)
 
 
 def power_sum(n: int, ring) -> SymElement:

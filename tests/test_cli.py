@@ -144,3 +144,28 @@ def test_invalid_flags_rejected(capsys):
         main(["hilbert", "--algebra", "nonsense", "--r", "2", "--max-degree", "3"])
     with pytest.raises(SystemExit):
         main(["identities", "--q", "2", "--max-degree", "3"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hilbert", "--algebra", "peak", "--r", "0", "--max-degree", "3"],
+        ["hilbert", "--algebra", "peak", "--r", "-2", "--max-degree", "3"],
+        ["bmaj", "--composition", "1,x"],
+        ["hilbert", "--algebra", "peak", "--r", "2", "--max-degree", "-1"],
+        ["klyachko", "--n", "-1"],
+        ["hilbert", "--algebra", "peak", "--r", "2", "--max-degree", "9"],
+    ],
+    ids=["r-zero", "r-negative", "bad-composition", "negative-degree", "negative-n", "cap"],
+)
+def test_misuse_is_a_usage_error(argv, capsys):
+    # exit status 2 and one error line, never a traceback or a vacuous ok
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        captured.err.splitlines()[-1]
+    ]

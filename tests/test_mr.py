@@ -11,7 +11,7 @@ from peakforge.combinatorics import (
     major_index,
     type_b_compositions,
 )
-from peakforge.scalars import QQ, QQq, cyclotomic_field
+from peakforge.scalars import QQ, QQq, cyclotomic_field, ring_of
 
 
 def MS(key, coeff=1, ring=QQ):
@@ -282,6 +282,40 @@ def test_inverse_series_degree_1_coefficients():
     denom = QQq.one - q**2
     assert g.coefficient(((1, 0),)) == QQq.one / denom
     assert g.coefficient(((1, 1),)) == q / denom
+
+
+def test_internal_product_is_the_sum_of_same_degree_pieces():
+    # inhomogeneous, truncated factors in mixed bases: cross-degree pairs
+    # vanish, so the product splits degree by degree
+    rng = random.Random(11)
+    words = [w for n in range(5) for w in colored_compositions(n)]
+
+    def draw(basis):
+        terms = {
+            w: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+            for w in rng.sample(words, 12)
+        }
+        return mr.MrElement(QQ, basis, terms).truncate(4)
+
+    for _ in range(4):
+        f, g = draw(mr.S), draw(mr.R)
+        pieces = mr.MrElement.zero(QQ, mr.S)
+        for d in range(5):
+            pieces = pieces + mr.internal_product(f.homogeneous(d), g.homogeneous(d))
+        product = mr.internal_product(f, g)
+        assert product == pieces
+        assert product.bound == 4
+
+
+def test_letter_tables_keep_equal_scalars_of_different_fields_apart():
+    # -1 in Q(zeta_2) equals -1 in Q and hashes alike; the cached letter
+    # tables must still answer over the field they were asked for
+    field = cyclotomic_field(2)
+    for ring, q in ((field, field.zeta), (QQ, QQ(-1))):
+        sharp = mr.superization(MS(((2, 0), (1, 1)), ring=ring), q)
+        dilated = sym.one_minus_q_transform(sym.monomial(ring, (2, 1)), q)
+        for c in [*sharp.terms.values(), *dilated.terms.values()]:
+            assert ring_of(c) is ring
 
 
 def test_inverse_series_composes_to_sigma():

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from peakforge import oracle
+from peakforge import oracle, sym
 from peakforge.combinatorics import (
     compositions,
     permutations,
@@ -112,3 +113,22 @@ def test_signed_descent_class_span_matches_module_rank():
             span.insert(oracle.descent_class_bn(n, I).terms)
         assert span.rank == 2**n
         assert span.rank == peak.mr_sharp_module_subspace(n, 2).rank
+
+
+def test_random_sym_internal_products_match_the_opposite_group_product():
+    # seeded multi-term elements of degree 5, against the brute-force oracle
+    rng = random.Random(2008)
+    keys = sorted(compositions(5))
+
+    def draw(basis):
+        terms = {
+            key: Fraction(rng.choice([-5, -3, -1, 1, 2, 4]), rng.randint(1, 4))
+            for key in rng.sample(keys, 6)
+        }
+        return sym.SymElement(QQ, basis, terms)
+
+    for basis in (sym.S, sym.R, sym.L):
+        a, b = draw(basis), draw(sym.S)
+        lhs = oracle.sym_to_group(sym.internal_product(a, b), 5)
+        rhs = oracle.group_product(oracle.sym_to_group(b, 5), oracle.sym_to_group(a, 5))
+        assert lhs.terms == rhs.terms

@@ -94,6 +94,18 @@ def test_ratfunc_pow_and_neg():
     assert (q**-1) * q == QQq.one
 
 
+def test_constants_hash_like_the_equal_fraction():
+    # equal values must hash alike, or sets and dict keys tell them apart
+    zeta3 = cyclotomic_field(3)
+    for ring in (QQq, zeta3):
+        for x in (0, 1, -2, Fraction(3, 4)):
+            assert ring(x) == x
+            assert hash(ring(x)) == hash(Fraction(x))
+    assert 1 in {QQq.one} and QQq.one in {1}
+    assert 1 in {zeta3(1)} and Fraction(-1, 2) in {zeta3(Fraction(-1, 2))}
+    assert len({QQq.q, zeta3.zeta, QQq(2), 2}) == 3
+
+
 def test_specialize_examples():
     # q -> -1 at r = 2
     assert specialize(QQq.q, 2) == cyclotomic_field(2)(-1)
