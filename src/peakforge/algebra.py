@@ -5,12 +5,19 @@ with nonzero coefficients in one of the exact fields.  Subclasses fix the
 algebra, the allowed basis tags and the grading of keys.  A ``bound`` marks
 a truncated series: terms above the bound are dropped by ring operations,
 and bounds propagate as the minimum of the operands'.
+
+A :class:`WordElement` lives in a free algebra on graded letters: Sym, with
+one letter per degree, and the Mantaci-Reutenauer algebra, with one per
+degree and color.  Its basis changes, products, coproduct and letterwise
+transforms are written here once, in terms of the letter tables the two
+algebras supply.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cache
+from functools import cache, partial
+from math import inf
 
 from .scalars import common_ring, ring_of, scalar_str
 
@@ -196,25 +203,124 @@ class Element:
         return f"{type(self).__name__}({' + '.join(bits)}{more})"
 
 
-def word_product(f: Element, g: Element):
-    """Bilinear concatenation product for multiplicative (word) bases."""
-    a, b = f._aligned(g)
+S, R = "S", "R"
+
+
+class WordElement(Element):
+    """A combination of words in graded letters, over the multiplicative
+    basis ``S`` of complete words or the ribbon basis ``R``: a complete word
+    is the sum of the ribbons of all its coarsenings.
+
+    Subclasses supply the letter tables, as static methods:
+
+    * ``merge(a, b)`` -- the letter two adjacent letters coarsen into, or
+      None where they may not merge;
+    * ``split(letter)`` -- the (left word, right word) pairs of the
+      coproduct of a letter;
+    * ``structure(I, J)`` -- the integer structure constants of the
+      internal product of two complete words.
+    """
+
+    bases = (S, R)
+
+    def __mul__(self, other):
+        if isinstance(other, WordElement):
+            return word_product(self, other)
+        return self.scaled(other)
+
+    def convert(self, basis):
+        """Re-express the element in another basis, through S; round-trips
+        are exact."""
+        if basis == self.basis:
+            return self
+        terms = self.terms
+        if self.basis != S:
+            terms = self._change(terms, self.basis, True)
+        if basis != S:
+            terms = self._change(terms, basis, False)
+        return type(self)(self.ring, basis, terms, bound=self.bound)
+
+    def _change(self, terms, basis, to_complete):
+        """Terms over S from terms over another basis, or the reverse when
+        ``to_complete`` is false."""
+        return expand(terms, partial(_ribbon_table, self.merge, to_complete))
+
+
+@cache
+def _ribbon_table(merge, to_complete, key):
+    # a ribbon is the alternating sum of the complete words coarsening it
+    if to_complete:
+        return tuple((k, -1 if m % 2 else 1) for k, m in coarsenings(key, merge))
+    return tuple((k, 1) for k, _ in coarsenings(key, merge))
+
+
+def word_product(f: WordElement, g: WordElement):
+    """Concatenation product of complete words, returned in the basis of
+    the left factor.
+
+    The right factor is graded once, so under a bound only the pairs of
+    degrees that stay within it are visited.
+    """
+    a, b = f.convert(S)._aligned(g.convert(S))
     bound = merge_bounds(a.bound, b.bound)
+    limit = inf if bound is None else bound
+    deg = f.key_degree
+    right: dict = {}
+    for k2, c2 in b.terms.items():
+        right.setdefault(deg(k2), []).append((k2, c2))
     terms: dict = {}
-    deg = type(f).key_degree
     for k1, c1 in a.terms.items():
-        for k2, c2 in b.terms.items():
-            key = k1 + k2
-            if bound is not None and deg(key) > bound:
-                continue
-            c = c1 * c2
-            s = terms.get(key)
-            s = c if s is None else s + c
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-    return type(f)(a.ring, a.basis, terms, bound=bound)
+        d1 = deg(k1)
+        for d2, pairs in right.items():
+            if d1 + d2 <= limit:
+                for k2, c2 in pairs:
+                    key = k1 + k2
+                    c = c1 * c2
+                    s = terms.get(key)
+                    s = c if s is None else s + c
+                    if s:
+                        terms[key] = s
+                    else:
+                        terms.pop(key, None)
+    return type(f)(a.ring, S, terms, bound=bound).convert(f.basis)
+
+
+def internal_product(f: WordElement, g: WordElement):
+    """Degreewise internal product, returned in the basis of the left
+    factor; cross-degree terms vanish."""
+    a, b = f.convert(S)._aligned(g.convert(S))
+    out = internal(a.terms, b.terms, f.structure, f.key_degree)
+    result = type(f)(a.ring, S, out, bound=merge_bounds(a.bound, b.bound))
+    return result.convert(f.basis)
+
+
+def coproduct(f: WordElement) -> dict:
+    """Coproduct in the S (x) S basis, as a map (left key, right key) ->
+    coefficient.  Letters split as ``f.split(letter)`` and words split
+    letter by letter.
+    """
+
+    def split_word(word):
+        parts = {((), ()): 1}
+        for letter in word:
+            nxt: dict = {}
+            for (lw, rw), mult in parts.items():
+                for lt, rt in f.split(letter):
+                    key = (lw + lt, rw + rt)
+                    nxt[key] = nxt.get(key, 0) + mult
+            parts = nxt
+        return parts.items()
+
+    return expand(f.convert(S).terms, split_word)
+
+
+def letterwise(f: WordElement, q, letter):
+    """The algebra endomorphism replacing each letter x of a complete word
+    by the combination ``letter(q, x)``, over the field of q and of f."""
+    ring = common_ring(ring_of(q), f.ring)
+    a = f.convert(S).with_ring(ring)
+    out = expand_letters(a.terms, partial(letter, ring(q)))
+    return type(f)(ring, S, out, bound=a.bound).convert(f.basis)
 
 
 # --------------------------------------------------------------------------
@@ -291,31 +397,6 @@ def internal(u: dict, v: dict, structure, degree) -> dict:
                     out[K] = s
                 else:
                     out.pop(K, None)
-    return out
-
-
-def coproduct(terms: dict, split) -> dict:
-    """Coproduct of a multiplicative basis whose generating letters split
-    as ``split(letter)``, a tuple of (left word, right word) pairs; words
-    split letter by letter.  Returns (left key, right key) -> coefficient.
-    """
-    out: dict = {}
-    for word, c in terms.items():
-        parts = {((), ()): 1}
-        for letter in word:
-            nxt: dict = {}
-            for (lw, rw), mult in parts.items():
-                for lt, rt in split(letter):
-                    key = (lw + lt, rw + rt)
-                    nxt[key] = nxt.get(key, 0) + mult
-            parts = nxt
-        for key, mult in parts.items():
-            s = out.get(key)
-            s = mult * c if s is None else s + mult * c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
     return out
 
 

@@ -41,7 +41,7 @@ def compositions(n: int):
 
 
 def descent_set(comp: tuple[int, ...]) -> tuple[int, ...]:
-    """Partial sums of a composition, excluding the total.
+    """Partial sums of a (type-B) composition, excluding the total.
 
     >>> descent_set((3, 2, 2, 1))
     (3, 5, 7)
@@ -246,13 +246,9 @@ def weak_order_ideal(perm) -> frozenset:
 
 
 @cache
-def _masks_by_perm(n: int) -> dict:
-    return {p: inversion_mask(p) for p in permutations(n)}
-
-
 def weak_order_lower_masks(n: int) -> dict:
     """Permutation -> inversion bitmask table for one degree (cached)."""
-    return _masks_by_perm(n)
+    return {p: inversion_mask(p) for p in permutations(n)}
 
 
 # --------------------------------------------------------------------------
@@ -295,17 +291,7 @@ def signed_descent_composition(w) -> tuple[int, ...]:
     >>> signed_descent_composition((-2, 3, 1, -5, 4, 6))
     (0, 2, 1, 3)
     """
-    n = len(w)
-    if n == 0:
-        return ()
-    cuts = signed_descent_set(w)
-    if not cuts:
-        return (n,)
-    parts = [cuts[0]]
-    for a, b in zip(cuts, cuts[1:]):
-        parts.append(b - a)
-    parts.append(n - cuts[-1])
-    return tuple(parts)
+    return composition_from_descents(signed_descent_set(w), len(w))
 
 
 def type_b_compositions(n: int):
@@ -316,17 +302,6 @@ def type_b_compositions(n: int):
     for comp in compositions(n):
         yield comp
         yield (0,) + comp
-
-
-def type_b_descent_set(comp) -> tuple[int, ...]:
-    """Partial sums of a type-B composition excluding the total; contains 0
-    exactly when the first part is 0."""
-    out = []
-    total = 0
-    for part in comp[:-1]:
-        total += part
-        out.append(total)
-    return tuple(out)
 
 
 # --------------------------------------------------------------------------
@@ -376,11 +351,7 @@ def standardize_signed(pairs):
     """
     if len(set(pairs)) != len(pairs):
         raise ValueError("signed standardization needs distinct letters")
-    order = sorted(range(len(pairs)), key=lambda i: (1 - pairs[i][1], pairs[i][0]))
-    out = [0] * len(pairs)
-    for rank, i in enumerate(order, start=1):
-        out[i] = rank
-    return tuple(out)
+    return standardize([(1 - color, value) for value, color in pairs])
 
 
 def standardized_shape(jc) -> tuple[int, ...]:

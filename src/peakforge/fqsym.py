@@ -21,7 +21,7 @@ from .combinatorics import (
     weak_order_ideal,
     weak_order_lower_masks,
 )
-from .scalars import common_ring, ring_of
+from .scalars import ring_of
 
 G, F, M = "G", "F", "M"
 
@@ -129,12 +129,9 @@ def _composition(p, t):
 
 def internal_product(f: FqsymElement, g: FqsymElement) -> FqsymElement:
     """Degreewise internal product: composition on the F basis."""
-    a = convert(f, F)
-    b = convert(g, F)
-    ring = common_ring(a.ring, b.ring)
-    a, b = a.with_ring(ring), b.with_ring(ring)
+    a, b = convert(f, F)._aligned(convert(g, F))
     out = internal(a.terms, b.terms, _composition, len)
-    result = FqsymElement(ring, F, out, bound=merge_bounds(a.bound, b.bound))
+    result = FqsymElement(a.ring, F, out, bound=merge_bounds(a.bound, b.bound))
     return convert(result, f.basis)
 
 

@@ -28,7 +28,9 @@ class GradedSubspace:
     ``ambient_keys`` fixes the ambient basis and its order.  With
     ``track=True`` each inserted vector gets a label and
     :meth:`coordinates` can express members as combinations of the
-    inserted generators.
+    inserted generators: each label is one more coordinate after the
+    ambient ones, set to one in the vector it labels, so elimination
+    carries the combinations along and pivots stay ambient.
     """
 
     def __init__(self, ring, ambient_keys, degree=None, track=False):
@@ -41,8 +43,8 @@ class GradedSubspace:
                 raise ValueError(f"duplicate ambient key {k!r}")
             self._index[k] = i
         self._rows: dict[int, dict] = {}
-        self._combos: dict[int, dict] | None = {} if track else None
-        self._n_inserted = 0
+        # label -> its coordinate, numbered on from the ambient ones
+        self._labels: dict | None = {} if track else None
 
     @property
     def rank(self) -> int:
@@ -60,11 +62,10 @@ class GradedSubspace:
                     raise KeyError(f"key {key!r} not in the ambient basis") from None
         return out
 
-    def _reduce(self, v: dict, combo: dict | None):
-        """Fully reduce an indexed vector against the stored rows in place."""
+    def _reduce(self, v: dict):
+        """Fully reduce an indexed vector against the stored rows in place;
+        return its pivot, the smallest ambient coordinate left, or None."""
         rows = self._rows
-        if not rows:
-            return
         for i in sorted(v):
             row = rows.get(i)
             if row is None:
@@ -73,62 +74,56 @@ class GradedSubspace:
             if not c:
                 continue
             _subtract_multiple(v, c, row)
-            if combo is not None:
-                _subtract_multiple(combo, c, self._combos[i])
+        pivot = min(v, default=len(self.keys))
+        return pivot if pivot < len(self.keys) else None
 
     def insert(self, vec, label=None) -> bool:
         """Enlarge the span by a vector; True iff the rank grew."""
         v = self._indexed(vec)
-        if self._combos is not None and label is None:
-            label = self._n_inserted
-        self._n_inserted += 1
-        combo = {label: self.ring(1)} if self._combos is not None else None
-        self._reduce(v, combo)
-        if not v:
+        if self._labels is not None:
+            if label is None:
+                label = len(self._labels)
+            column = self._labels.setdefault(label, len(self.keys) + len(self._labels))
+            v[column] = self.ring(1)
+        pivot = self._reduce(v)
+        if pivot is None:
             return False
-        pivot = min(v)
         inv = self.ring(1) / v[pivot]
         row = {j: c * inv for j, c in v.items()}
         row[pivot] = self.ring(1)
-        if combo is not None:
-            combo = {l: c * inv for l, c in combo.items()}
         # back-eliminate the new pivot from the existing rows
-        for i, other in self._rows.items():
+        for other in self._rows.values():
             c = other.get(pivot)
-            if not c:
-                continue
-            _subtract_multiple(other, c, row)
-            if self._combos is not None:
-                _subtract_multiple(self._combos[i], c, combo)
+            if c:
+                _subtract_multiple(other, c, row)
         self._rows[pivot] = row
-        if self._combos is not None:
-            self._combos[pivot] = combo
         return True
 
     def contains(self, vec) -> bool:
-        v = self._indexed(vec)
-        self._reduce(v, None)
-        return not v
+        return self._reduce(self._indexed(vec)) is None
 
     def coordinates(self, vec):
         """Express a vector over the inserted generators, or None if it is
         not in the span.  Requires ``track=True``."""
-        if self._combos is None:
+        if self._labels is None:
             raise ValueError("subspace was not built with track=True")
         v = self._indexed(vec)
-        combo: dict = {}
-        self._reduce(v, combo)
-        if v:
+        if self._reduce(v) is not None:
             return None
-        # _reduce accumulates the negated combination
-        return {label: -c for label, c in combo.items()}
+        # the label coordinates hold the negated combination; labels are
+        # numbered in insertion order
+        labels = list(self._labels)
+        n = len(self.keys)
+        return {labels[j - n]: -c for j, c in v.items()}
 
     def basis(self):
-        """Echelon rows as key-indexed dicts, sorted by pivot."""
+        """Echelon rows as key-indexed dicts in ambient key order, sorted by
+        pivot."""
+        n = len(self.keys)
         out = []
         for pivot in sorted(self._rows):
             row = self._rows[pivot]
-            out.append({self.keys[j]: c for j, c in row.items()})
+            out.append({self.keys[j]: c for j, c in sorted(row.items()) if j < n})
         return out
 
     def pivot_keys(self):
@@ -137,13 +132,10 @@ class GradedSubspace:
     def to_json(self):
         from .scalars import scalar_str
 
-        rows = []
-        for pivot in sorted(self._rows):
-            row = self._rows[pivot]
-            rows.append(
-                [[list(self.keys[j]), scalar_str(c)] for j, c in sorted(row.items())]
-            )
-        return rows
+        return [
+            [[list(key), scalar_str(c)] for key, c in row.items()]
+            for row in self.basis()
+        ]
 
     def __repr__(self):
         deg = f", degree={self.degree}" if self.degree is not None else ""

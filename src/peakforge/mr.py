@@ -19,19 +19,10 @@ the left acts through the bar involution.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache
 
 from . import algebra
-from .algebra import (
-    Element,
-    coarsenings,
-    expand,
-    expand_letters,
-    internal,
-    internal_words,
-    merge_bounds,
-    word_product,
-)
+from .algebra import R, S, WordElement, expand, internal_words, word_product
 from .combinatorics import (
     colored_compositions,
     colored_weight,
@@ -39,21 +30,58 @@ from .combinatorics import (
     standardized_shape,
     barred_weight,
 )
-from .scalars import QQ, QQq, common_ring, ring_of
+from .scalars import QQ, QQq, ring_of
 from . import sym
 
-S, R = "S", "R"
+
+# --------------------------------------------------------------------------
+# Letter tables: ribbons coarsen within a color, letters split within
+# their color
 
 
-class MrElement(Element):
+def _merge_same_color(a, b):
+    return (a[0] + b[0], a[1]) if a[1] == b[1] else None
+
+
+@cache
+def _split(letter):
+    size, color = letter
+    return tuple(
+        (((i, color),) if i else (), ((size - i, color),) if size - i else ())
+        for i in range(size + 1)
+    )
+
+
+@cache
+def internal_structure(left, right):
+    """Integer structure constants of the internal product of two colored
+    complete words, in the colored S basis.
+
+    The underlying sizes pair through margin matrices as in Sym; a color-1
+    letter of the left word bars the column it extracts, so the output
+    colors are the XOR of the row and column colors.
+    """
+
+    def read(reading):
+        return tuple(
+            [
+                (value, right[row][1] ^ left[c][1])
+                for c, col in enumerate(reading)
+                for row, value in col
+            ]
+        )
+
+    return internal_words(
+        tuple(s for s, _ in right), tuple(s for s, _ in left), read
+    )
+
+
+class MrElement(WordElement):
     algebra = "mr"
-    bases = (S, R)
     key_degree = staticmethod(colored_weight)
-
-    def __mul__(self, other):
-        if isinstance(other, MrElement):
-            return product(self, other)
-        return self.scaled(other)
+    merge = staticmethod(_merge_same_color)
+    split = staticmethod(_split)
+    structure = staticmethod(internal_structure)
 
     @staticmethod
     def key_str(key):
@@ -85,88 +113,25 @@ def bar(f: MrElement) -> MrElement:
 
 
 # --------------------------------------------------------------------------
-# Basis conversions: same-color coarsening
-
-
-def _merge_same_color(a, b):
-    return (a[0] + b[0], a[1]) if a[1] == b[1] else None
-
-
-@cache
-def _complete_to_ribbon(key):
-    return tuple((k, 1) for k, _ in coarsenings(key, _merge_same_color))
-
-
-@cache
-def _ribbon_to_complete(key):
-    return tuple(
-        (k, -1 if m % 2 else 1) for k, m in coarsenings(key, _merge_same_color)
-    )
+# Basis conversions, products, coproduct, internal product
 
 
 def convert(f: MrElement, basis: str) -> MrElement:
-    if basis == f.basis:
-        return f
-    table = _ribbon_to_complete if f.basis == R else _complete_to_ribbon
-    return MrElement(f.ring, basis, expand(f.terms, table), bound=f.bound)
-
-
-# --------------------------------------------------------------------------
-# Products, coproduct, internal product
+    return f.convert(basis)
 
 
 def product(f: MrElement, g: MrElement) -> MrElement:
-    out = word_product(convert(f, S), convert(g, S))
-    return convert(out, f.basis)
-
-
-@cache
-def _split(letter):
-    size, color = letter
-    return tuple(
-        (((i, color),) if i else (), ((size - i, color),) if size - i else ())
-        for i in range(size + 1)
-    )
+    return word_product(f, g)
 
 
 def coproduct(f: MrElement) -> dict:
     """Coproduct in the S (x) S basis; both colored complete series are
     grouplike, so letters split within their color."""
-    return algebra.coproduct(convert(f, S).terms, _split)
-
-
-@cache
-def internal_structure(left, right):
-    """Integer structure constants of the internal product of two colored
-    complete words, in the colored S basis.
-
-    The underlying sizes pair through margin matrices as in Sym; a color-1
-    letter of the left word bars the column it extracts, so the output
-    colors are the XOR of the row and column colors.
-    """
-
-    def read(reading):
-        return tuple(
-            [
-                (value, right[row][1] ^ left[c][1])
-                for c, col in enumerate(reading)
-                for row, value in col
-            ]
-        )
-
-    return internal_words(
-        tuple(s for s, _ in right), tuple(s for s, _ in left), read
-    )
+    return algebra.coproduct(f)
 
 
 def internal_product(f: MrElement, g: MrElement) -> MrElement:
-    a = convert(f, S)
-    b = convert(g, S)
-    ring = common_ring(a.ring, b.ring)
-    a, b = a.with_ring(ring), b.with_ring(ring)
-    out = internal(a.terms, b.terms, internal_structure, colored_weight)
-    result = MrElement(ring, S, out, bound=merge_bounds(a.bound, b.bound))
-    return convert(result, f.basis)
+    return algebra.internal_product(f, g)
 
 
 # --------------------------------------------------------------------------
@@ -222,10 +187,7 @@ def superization(f: MrElement, q) -> MrElement:
     series.  It is an algebra automorphism, so it acts letterwise on
     colored complete words (cross-checked against the internal product in
     the tests)."""
-    ring = common_ring(ring_of(q), f.ring)
-    a = convert(f, S).with_ring(ring)
-    out = expand_letters(a.terms, partial(_sharp_letter, ring(q)))
-    return convert(MrElement(ring, S, out, bound=a.bound), f.basis)
+    return algebra.letterwise(f, q, _sharp_letter)
 
 
 def _forget_colors(key):

@@ -13,12 +13,11 @@ from .algebra import Element
 from .combinatorics import (
     compose,
     compose_signed,
-    descent_composition,
-    permutations,
+    descent_set,
+    permutations_by_descent,
     signed_descent_set,
     signed_permutations,
     type_b_compositions,
-    type_b_descent_set,
 )
 from .linalg import GradedSubspace
 from .scalars import QQ, common_ring
@@ -68,8 +67,7 @@ def group_product(f: GroupAlgebraElement, g: GroupAlgebraElement) -> GroupAlgebr
 
 def descent_class_sn(n: int, comp, ring=QQ) -> GroupAlgebraElement:
     """Sum of the permutations of 1..n with descent composition ``comp``."""
-    comp = tuple(comp)
-    terms = {p: ring(1) for p in permutations(n) if descent_composition(p) == comp}
+    terms = {p: ring(1) for p in permutations_by_descent(n).get(tuple(comp), ())}
     return GroupAlgebraElement(ring, SYMMETRIC, terms)
 
 
@@ -77,7 +75,7 @@ def descent_class_bn(n: int, comp, ring=QQ) -> GroupAlgebraElement:
     """Sum of the signed permutations whose descent set is CONTAINED IN the
     descent set of the type-B composition ``comp`` (the class matching the
     type-B complete basis)."""
-    target = set(type_b_descent_set(tuple(comp)))
+    target = set(descent_set(tuple(comp)))
     terms = {}
     for w in signed_permutations(n):
         if set(signed_descent_set(w)) <= target:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .algebra import internal
-from .combinatorics import colored_compositions, colored_weight, compositions
+from .combinatorics import colored_compositions, compositions
 from .linalg import GradedSubspace
 from .scalars import QQ, QQq, cyclotomic_field
 from . import mr
@@ -130,56 +130,58 @@ def conjectured_generator_count(n: int, r: int) -> int:
 # Subspace constructions
 
 
+def _image_span(n: int, r: int, keys, element, transform) -> GradedSubspace:
+    """Degree-n span of the images of the complete words ``keys`` under
+    ``transform`` at q = zeta_r, over Q(zeta_r)."""
+    ring = cyclotomic_field(r)
+    space = GradedSubspace(ring, keys, degree=n)
+    for key in keys:
+        space.insert(transform(element.monomial(ring, key), ring.zeta).terms)
+    return space
+
+
+def _module_span(n: int, r: int, keys, image_span, letter) -> GradedSubspace:
+    """Degree-n span of the complete letter ``letter(k)`` times the
+    degree-(n-k) image span, for k from n down to 0."""
+    space = GradedSubspace(cyclotomic_field(r), keys, degree=n)
+    for k in range(n, -1, -1):
+        prefix = (letter(k),) if k else ()
+        for row in image_span(n - k, r).basis():
+            space.insert({prefix + key: c for key, c in row.items()})
+    return space
+
+
 @cache
 def peak_subspace(n: int, r: int) -> GradedSubspace:
     """Degree-n span of the (1-q) images of the complete words, over
     Q(zeta_r)."""
-    ring = cyclotomic_field(r)
-    q = ring.zeta
-    space = GradedSubspace(ring, sorted(compositions(n)), degree=n)
-    for I in sorted(compositions(n)):
-        image = sym.one_minus_q_transform(sym.monomial(ring, I), q)
-        space.insert(image.terms)
-    return space
+    return _image_span(
+        n, r, sorted(compositions(n)), sym.SymElement, sym.one_minus_q_transform
+    )
 
 
 @cache
 def unital_peak_subspace(n: int, r: int) -> GradedSubspace:
     """Degree-n span of S_k times the degree-(n-k) peak subspace."""
-    ring = cyclotomic_field(r)
-    space = GradedSubspace(ring, sorted(compositions(n)), degree=n)
-    for k in range(n, -1, -1):
-        prefix = (k,) if k else ()
-        for row in peak_subspace(n - k, r).basis():
-            space.insert({prefix + key: c for key, c in row.items()})
-    return space
+    return _module_span(n, r, sorted(compositions(n)), peak_subspace, lambda k: k)
 
 
 @cache
 def mr_sharp_subspace(n: int, r: int) -> GradedSubspace:
     """Degree-n span of the q-superizations of the colored complete words,
     over Q(zeta_r)."""
-    ring = cyclotomic_field(r)
-    q = ring.zeta
-    keys = sorted(colored_compositions(n))
-    space = GradedSubspace(ring, keys, degree=n)
-    for key in keys:
-        image = mr.superization(mr.monomial(ring, key), q)
-        space.insert(image.terms)
-    return space
+    return _image_span(
+        n, r, sorted(colored_compositions(n)), mr.MrElement, mr.superization
+    )
 
 
 @cache
 def mr_sharp_module_subspace(n: int, r: int) -> GradedSubspace:
     """Degree-n span of S_k (plain alphabet) times the degree-(n-k)
     superization image."""
-    ring = cyclotomic_field(r)
-    space = GradedSubspace(ring, sorted(colored_compositions(n)), degree=n)
-    for k in range(n, -1, -1):
-        prefix = ((k, 0),) if k else ()
-        for row in mr_sharp_subspace(n - k, r).basis():
-            space.insert({prefix + key: c for key, c in row.items()})
-    return space
+    return _module_span(
+        n, r, sorted(colored_compositions(n)), mr_sharp_subspace, lambda k: (k, 0)
+    )
 
 
 _BUILDERS = {
@@ -207,11 +209,8 @@ def closure_check(sub: GradedSubspace, algebra: str, ideal: bool = False):
     must stay inside (left ideal over the whole graded component).
     Returns (ok, witness) where the witness names the first failing pair.
     """
-    if algebra == "sym":
-        structure, degree = sym.internal_structure, sum
-    elif algebra == "mr":
-        structure, degree = mr.internal_structure, colored_weight
-    else:
+    element = {"sym": sym.SymElement, "mr": mr.MrElement}.get(algebra)
+    if element is None:
         raise ValueError(f"unknown algebra {algebra!r}")
     rows = sub.basis()
     pivots = sub.pivot_keys()
@@ -221,7 +220,7 @@ def closure_check(sub: GradedSubspace, algebra: str, ideal: bool = False):
         lefts = list(zip(rows, pivots))
     for u, utag in lefts:
         for v, vtag in zip(rows, pivots):
-            if not sub.contains(internal(u, v, structure, degree)):
+            if not sub.contains(internal(u, v, element.structure, element.key_degree)):
                 return False, {"left": utag, "right": vtag}
     return True, None
 

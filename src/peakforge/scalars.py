@@ -164,6 +164,15 @@ def _pgcd(a, b):
     return tuple(Fraction(c, lc) for c in A)
 
 
+def _cancel(num, den):
+    """num and den divided by their gcd; a constant num shares none."""
+    if len(num) > 1 and den != _ONE:
+        g = _pgcd(num, den)
+        if len(g) > 1:
+            return _pdivmod(num, g)[0], _pdivmod(den, g)[0]
+    return num, den
+
+
 def _pxgcd(a, b):
     """Monic g = gcd(a, b) together with u, v such that u*a + v*b = g."""
     r0, r1 = a, b
@@ -270,10 +279,7 @@ class RatFunc(_FieldElement):
         if not num:
             den = _ONE
         elif den != _ONE:
-            g = _pgcd(num, den)
-            if len(g) > 1:
-                num = _pdivmod(num, g)[0]
-                den = _pdivmod(den, g)[0]
+            num, den = _cancel(num, den)
             if den[-1] != 1:
                 inv = 1 / den[-1]
                 num = _pscale(num, inv)
@@ -332,24 +338,18 @@ class RatFunc(_FieldElement):
         other = RatFunc._coerce(other)
         if other is None:
             return NotImplemented
+        r = RatFunc.__new__(RatFunc)
         if self.den == _ONE and other.den == _ONE:
-            r = RatFunc.__new__(RatFunc)
             r.num = _pmul(self.num, other.num)
             r.den = _ONE
             return r
-        # cancel across the two factors first to keep the gcd inputs small
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if n1 and d2 != _ONE:
-            g = _pgcd(n1, d2)
-            if len(g) > 1:
-                n1 = _pdivmod(n1, g)[0]
-                d2 = _pdivmod(d2, g)[0]
-        if n2 and d1 != _ONE:
-            g = _pgcd(n2, d1)
-            if len(g) > 1:
-                n2 = _pdivmod(n2, g)[0]
-                d1 = _pdivmod(d1, g)[0]
-        return RatFunc(_pmul(n1, n2), _pmul(d1, d2))
+        # cancel across the two factors; each factor is reduced with a monic
+        # denominator, so the product then is too and needs no second gcd
+        n1, d2 = _cancel(self.num, other.den)
+        n2, d1 = _cancel(other.num, self.den)
+        r.num = _pmul(n1, n2)
+        r.den = _pmul(d1, d2) if r.num else _ONE
+        return r
 
     __rmul__ = __mul__
 

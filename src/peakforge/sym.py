@@ -17,47 +17,26 @@ the test suite).
 
 from __future__ import annotations
 
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache
 from operator import add
 
 from . import algebra
 from .algebra import (
-    Element,
-    coarsenings,
-    expand,
+    R,
+    S,
+    WordElement,
     expand_letters,
-    internal,
     internal_words,
-    merge_bounds,
     word_product,
 )
 from .combinatorics import compositions, permutations_by_descent
-from .scalars import common_ring, ring_of
+from .scalars import ring_of
 
-S, L, R = "S", "L", "R"
-
-
-class SymElement(Element):
-    algebra = "sym"
-    bases = (S, L, R)
-    key_degree = staticmethod(sum)
-
-    def __mul__(self, other):
-        if isinstance(other, SymElement):
-            return product(self, other)
-        return self.scaled(other)
-
-
-def monomial(ring, key, coeff=1, basis=S) -> SymElement:
-    return SymElement.monomial(ring, tuple(key), coeff, basis=basis)
-
-
-def unit(ring) -> SymElement:
-    return SymElement.unit(ring, basis=S)
+L = "L"
 
 
 # --------------------------------------------------------------------------
-# Basis conversions
+# Letter tables
 
 
 @cache
@@ -68,60 +47,8 @@ def _alternating_words(n: int):
 
 
 @cache
-def _complete_to_ribbon(I):
-    return tuple((J, 1) for J, _ in coarsenings(I, add))
-
-
-@cache
-def _ribbon_to_complete(I):
-    return tuple((J, -1 if m % 2 else 1) for J, m in coarsenings(I, add))
-
-
-def convert(f: SymElement, basis: str) -> SymElement:
-    """Re-express an element in another basis, through S; round-trips are
-    exact."""
-    if basis == f.basis:
-        return f
-    terms = f.terms
-    if f.basis == L:
-        terms = expand_letters(terms, _alternating_words)
-    elif f.basis == R:
-        terms = expand(terms, _ribbon_to_complete)
-    if basis == L:
-        terms = expand_letters(terms, _alternating_words)
-    elif basis == R:
-        terms = expand(terms, _complete_to_ribbon)
-    elif basis != S:
-        raise ValueError(f"unknown basis {basis!r}")
-    return SymElement(f.ring, basis, terms, bound=f.bound)
-
-
-# --------------------------------------------------------------------------
-# Products and coproduct
-
-
-def product(f: SymElement, g: SymElement) -> SymElement:
-    """Concatenation product, returned in the basis of the left factor."""
-    out = word_product(convert(f, S), convert(g, S))
-    return convert(out, f.basis)
-
-
-@cache
 def _split(k: int):
     return tuple(((i,) if i else (), (k - i,) if k - i else ()) for i in range(k + 1))
-
-
-def coproduct(f: SymElement) -> dict:
-    """Coproduct in the S (x) S basis, as a map (left key, right key) -> coeff.
-
-    The complete generating series is grouplike, so each letter S_k splits
-    as sum over i + j = k of S_i (x) S_j and words split multiplicatively.
-    """
-    return algebra.coproduct(convert(f, S).terms, _split)
-
-
-# --------------------------------------------------------------------------
-# Internal product
 
 
 def _read_values(reading):
@@ -140,15 +67,56 @@ def internal_structure(I, J):
     return internal_words(J, I, _read_values)
 
 
+class SymElement(WordElement):
+    algebra = "sym"
+    bases = (S, L, R)
+    key_degree = staticmethod(sum)
+    merge = staticmethod(add)
+    split = staticmethod(_split)
+    structure = staticmethod(internal_structure)
+
+    def _change(self, terms, basis, to_complete):
+        if basis == L:
+            # the same letter substitution goes either way
+            return expand_letters(terms, _alternating_words)
+        return super()._change(terms, basis, to_complete)
+
+
+def monomial(ring, key, coeff=1, basis=S) -> SymElement:
+    return SymElement.monomial(ring, tuple(key), coeff, basis=basis)
+
+
+def unit(ring) -> SymElement:
+    return SymElement.unit(ring, basis=S)
+
+
+# --------------------------------------------------------------------------
+# Basis conversions, products and coproduct
+
+
+def convert(f: SymElement, basis: str) -> SymElement:
+    """Re-express an element in another basis, through S; round-trips are
+    exact."""
+    return f.convert(basis)
+
+
+def product(f: SymElement, g: SymElement) -> SymElement:
+    """Concatenation product, returned in the basis of the left factor."""
+    return word_product(f, g)
+
+
+def coproduct(f: SymElement) -> dict:
+    """Coproduct in the S (x) S basis, as a map (left key, right key) -> coeff.
+
+    The complete generating series is grouplike, so each letter S_k splits
+    as sum over i + j = k of S_i (x) S_j and words split multiplicatively.
+    """
+    return algebra.coproduct(f)
+
+
 def internal_product(f: SymElement, g: SymElement) -> SymElement:
     """Degreewise internal product; cross-degree terms vanish."""
-    a = convert(f, S)
-    b = convert(g, S)
-    ring = common_ring(a.ring, b.ring)
-    a, b = a.with_ring(ring), b.with_ring(ring)
-    out = internal(a.terms, b.terms, internal_structure, sum)
-    result = SymElement(ring, S, out, bound=merge_bounds(a.bound, b.bound))
-    return convert(result, f.basis)
+    return algebra.internal_product(f, g)
 
 
 # --------------------------------------------------------------------------
@@ -212,10 +180,7 @@ def one_minus_q_transform(f: SymElement, q) -> SymElement:
     Algebra endomorphism of Sym: each letter S_k is replaced by the
     degree-k component of the (1-q) series.  Agrees with the internal
     product against :func:`one_minus_q_series` (tested)."""
-    ring = common_ring(ring_of(q), f.ring)
-    a = convert(f, S).with_ring(ring)
-    out = expand_letters(a.terms, partial(_one_minus_q_letter, ring(q)))
-    return convert(SymElement(ring, S, out, bound=a.bound), f.basis)
+    return algebra.letterwise(f, q, _one_minus_q_letter)
 
 
 def power_sum(n: int, ring) -> SymElement:

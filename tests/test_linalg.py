@@ -85,6 +85,27 @@ def test_coordinates():
         untracked.coordinates({"a": 1})
 
 
+def test_tracked_span_shows_only_ambient_keys():
+    vectors = [{"a": 1, "b": 1}, {"b": 1, "c": 2}]
+    s = _space(track=True)
+    plain = _space()
+    for label, v in zip("uv", vectors):
+        assert s.insert(v, label=label)
+        plain.insert(v)
+    assert s.contains({"a": 1, "b": 2, "c": 2})
+    assert not s.contains({"d": 1})
+    assert not s.contains({"a": 1})
+    assert s.basis() == plain.basis()
+    assert s.to_json() == plain.to_json()
+    assert all(set(row) <= set(s.keys) for row in s.basis())
+    # a dependent vector does not grow the span, and its own label stays
+    # out of the coordinates of a member
+    assert s.insert({"a": 2, "b": 3, "c": 2}, label="w") is False
+    assert s.rank == 2
+    assert s.basis() == plain.basis()
+    assert s.coordinates({"a": 1, "b": 2, "c": 2}) == {"u": 1, "v": 1}
+
+
 def test_contains_iff_insert_does_not_grow():
     rng = random.Random(7)
     keys = list(range(6))

@@ -307,6 +307,31 @@ def test_internal_product_is_the_sum_of_same_degree_pieces():
         assert product.bound == 4
 
 
+@pytest.mark.parametrize("module", [sym, mr], ids=["sym", "mr"])
+def test_bounded_product_keeps_every_admissible_pair(module):
+    # truncating both factors at b keeps every pair of degrees that sums to
+    # at most b, the pairs summing to exactly b included
+    rng = random.Random(5)
+    element = module.SymElement if module is sym else module.MrElement
+    weighted = compositions if module is sym else colored_compositions
+    words = [w for n in range(5) for w in weighted(n)]
+
+    def draw():
+        terms = {
+            w: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+            for w in rng.sample(words, 10)
+        }
+        return element(QQ, rng.choice(element.bases), terms)
+
+    for _ in range(4):
+        f, g = draw(), draw()
+        full = module.product(f, g)
+        for b in range(1, 8):
+            bounded = module.product(f.truncate(b), g.truncate(b))
+            assert bounded == full.truncate(b)
+            assert bounded.bound == b
+
+
 def test_letter_tables_keep_equal_scalars_of_different_fields_apart():
     # -1 in Q(zeta_2) equals -1 in Q and hashes alike; the cached letter
     # tables must still answer over the field they were asked for

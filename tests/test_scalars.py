@@ -195,6 +195,36 @@ def test_ratfunc_field_axioms(a_coeffs, b_coeffs, c_coeffs):
         assert (a / b) * (b / a) == QQq.one
 
 
+_polys = st.lists(st.integers(-4, 4), min_size=1, max_size=4)
+_ratfuncs = st.builds(
+    lambda num, den: _ratfunc(num) / _ratfunc(den) if any(den) else _ratfunc(num),
+    _polys,
+    _polys,
+)
+_factors = st.one_of(
+    _ratfuncs,
+    st.integers(-4, 4),
+    st.fractions(-4, 4, max_denominator=6),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ratfuncs, _factors)
+def test_ratfunc_product_is_canonical(a, b):
+    from peakforge.scalars import _pgcd, _pmul
+
+    other = RatFunc._coerce(b)
+    expected = RatFunc(_pmul(a.num, other.num), _pmul(a.den, other.den))
+    for p in (a * b, b * a):
+        assert isinstance(p, RatFunc)
+        assert p.den[-1] == 1
+        if p.num:
+            assert _pgcd(p.num, p.den) == (1,)
+        else:
+            assert p.den == (1,)
+        assert (p.num, p.den) == (expected.num, expected.den)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(-6, 6), min_size=1, max_size=6),
