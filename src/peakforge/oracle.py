@@ -9,10 +9,12 @@ checks here multiply descent classes by brute force and compare.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
+from operator import itemgetter
+
 from .algebra import Element
 from .combinatorics import (
-    compose,
-    compose_signed,
     descent_set,
     permutations_by_descent,
     signed_descent_set,
@@ -47,22 +49,40 @@ def group_product(f: GroupAlgebraElement, g: GroupAlgebraElement) -> GroupAlgebr
     """Bilinear extension of composition: (u o v)(i) = u(v(i))."""
     if f.group != g.group:
         raise ValueError("group mismatch")
+    if f.terms and g.terms and len({len(w) for w in chain(f.terms, g.terms)}) > 1:
+        raise ValueError("degree mismatch in group product")
     ring = common_ring(f.ring, g.ring)
-    mul = compose if f.group == SYMMETRIC else compose_signed
+    # count the compositions of each pair of coefficient classes in int,
+    # then scale once per resulting element
     out: dict = {}
-    for u, cu in f.terms.items():
-        for v, cv in g.terms.items():
-            if len(u) != len(v):
-                raise ValueError("degree mismatch in group product")
-            key = mul(u, v)
+    right = _by_coefficient(g.terms)
+    for cu, us in _by_coefficient(f.terms).items():
+        for cv, vs in right.items():
             c = ring(cu) * ring(cv)
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return GroupAlgebraElement(ring, f.group, out)
+            for key, n in _count_compositions(us, vs).items():
+                s = out.get(key)
+                out[key] = n * c if s is None else s + n * c
+    return GroupAlgebraElement(ring, f.group, {k: c for k, c in out.items() if c})
+
+
+def _by_coefficient(terms: dict) -> dict:
+    """Coefficient -> the keys that carry it."""
+    out: dict = {}
+    for key, c in terms.items():
+        out.setdefault(c, []).append(key)
+    return out
+
+
+def _count_compositions(us, vs) -> dict:
+    """How often each u o v occurs over all pairs of (signed) permutations."""
+    # u o v reads u at the entries of v: index j of a table below holds u(j)
+    # for -n <= j <= n; the two leading reads of index 0 make every read a
+    # tuple, even for the empty permutation
+    tables = [(0, *u, *[-x for x in reversed(u)]) for u in us]
+    counts = Counter()
+    for v in vs:
+        counts.update(map(itemgetter(0, 0, *v), tables))
+    return {key[2:]: n for key, n in counts.items()}
 
 
 def descent_class_sn(n: int, comp, ring=QQ) -> GroupAlgebraElement:
@@ -147,10 +167,11 @@ def verify_signed_antimorphism(n: int):
             if coords is None:
                 failures.append((I, J, "outside the type-B span"))
                 continue
-            lhs = GroupAlgebraElement(QQ, HYPEROCTAHEDRAL, {})
+            # every class is a sum of group elements with coefficient one
+            lhs = Counter()
             for K, c in coords.items():
-                lhs = lhs + c * classes[K]
+                lhs.update(dict.fromkeys(classes[K].terms, c))
             rhs = group_product(classes[J], classes[I])
-            if lhs.terms != rhs.terms:
+            if {w: c for w, c in lhs.items() if c} != rhs.terms:
                 failures.append((I, J, "images differ"))
     return not failures, failures

@@ -22,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import gcd
+from operator import add, sub
 
 __all__ = [
     "QQ",
@@ -292,7 +293,10 @@ class RatFunc(_FieldElement):
         if isinstance(x, RatFunc):
             return x
         if isinstance(x, (int, Fraction)):
-            return RatFunc((Fraction(x),))
+            r = RatFunc.__new__(RatFunc)
+            r.num = (Fraction(x),) if x else ()
+            r.den = _ONE
+            return r
         return None
 
     def __bool__(self):
@@ -338,11 +342,20 @@ class RatFunc(_FieldElement):
         other = RatFunc._coerce(other)
         if other is None:
             return NotImplemented
+        if self.den == _ONE and len(self.num) < 2:
+            self, other = other, self
         r = RatFunc.__new__(RatFunc)
-        if self.den == _ONE and other.den == _ONE:
-            r.num = _pmul(self.num, other.num)
-            r.den = _ONE
-            return r
+        if other.den == _ONE:
+            if len(other.num) < 2:
+                # a constant factor scales the numerator and keeps the
+                # denominator
+                r.num = _pscale(self.num, other.num[0]) if other.num else ()
+                r.den = self.den if r.num else _ONE
+                return r
+            if self.den == _ONE:
+                r.num = _pmul(self.num, other.num)
+                r.den = _ONE
+                return r
         # cancel across the two factors; each factor is reduced with a monic
         # denominator, so the product then is too and needs no second gcd
         n1, d2 = _cancel(self.num, other.den)
@@ -464,7 +477,11 @@ def cyclotomic_field(r: int) -> CyclotomicField:
 
 class Cyclo(_FieldElement):
     """An element of Q(zeta_r): integer coefficient vector over a common
-    positive denominator, reduced mod Phi_r, gcd one."""
+    positive denominator, reduced mod Phi_r, gcd one.
+
+    Fields of degree 1 and 2 (r = 1, 2, 3, 4, 6) multiply and invert in
+    closed form; higher degrees convolve and run the extended Euclidean
+    algorithm."""
 
     __slots__ = ("field", "vec", "den")
 
@@ -511,72 +528,107 @@ class Cyclo(_FieldElement):
         return hash((Cyclo, self.field.order, self.vec, self.den))
 
     def __neg__(self):
-        r = Cyclo.__new__(Cyclo)
-        r.field = self.field
-        r.vec = tuple(-v for v in self.vec)
-        r.den = self.den
-        return r
+        return _cyclo(self.field, tuple(-v for v in self.vec), self.den)
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+    def _sum(self, other, op):
+        """self + other or self - other, as ``op`` is ``add`` or ``sub``."""
         da, db = self.den, other.den
         if da == db:
-            return Cyclo(
-                self.field, tuple(a + b for a, b in zip(self.vec, other.vec)), da
-            )
+            vec = tuple(map(op, self.vec, other.vec))
+            if da == 1:
+                return _cyclo(self.field, vec, 1)
+            return Cyclo(self.field, vec, da)
         g = gcd(da, db)
         ma, mb = db // g, da // g
         return Cyclo(
             self.field,
-            tuple(a * ma + b * mb for a, b in zip(self.vec, other.vec)),
+            tuple(op(a * ma, b * mb) for a, b in zip(self.vec, other.vec)),
             da * ma,
         )
 
+    def __add__(self, other):
+        if type(other) is not Cyclo or other.field is not self.field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._sum(other, add)
+
     __radd__ = __add__
 
+    def __sub__(self, other):
+        if type(other) is not Cyclo or other.field is not self.field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._sum(other, sub)
+
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        d = self.field.degree
+        if type(other) is not Cyclo or other.field is not self.field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        field = self.field
         a, b = self.vec, other.vec
-        conv = [0] * (2 * d - 1)
-        for i, va in enumerate(a):
-            if va:
-                for j, vb in enumerate(b):
-                    if vb:
-                        conv[i + j] += va * vb
-        rows = self.field._rows
-        out = conv[:d]
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c:
-                row = rows[k - d]
-                for j, rv in enumerate(row):
-                    if rv:
-                        out[j] += c * rv
-        return Cyclo(self.field, tuple(out), self.den * other.den)
+        d = field.degree
+        if d == 1:
+            out = (a[0] * b[0],)
+        elif d == 2:
+            # x^2 = m0 + m1*x
+            m0, m1 = field._rows[0]
+            a0, a1 = a
+            b0, b1 = b
+            t = a1 * b1
+            out = (a0 * b0 + m0 * t, a0 * b1 + a1 * b0 + m1 * t)
+        else:
+            conv = [0] * (2 * d - 1)
+            for i, va in enumerate(a):
+                if va:
+                    for j, vb in enumerate(b):
+                        if vb:
+                            conv[i + j] += va * vb
+            rows = field._rows
+            out = conv[:d]
+            for k in range(d, 2 * d - 1):
+                c = conv[k]
+                if c:
+                    row = rows[k - d]
+                    for j, rv in enumerate(row):
+                        if rv:
+                            out[j] += c * rv
+            out = tuple(out)
+        den = self.den * other.den
+        if den == 1:
+            return _cyclo(field, out, 1)
+        return Cyclo(field, out, den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if not any(self.vec):
+        field = self.field
+        a = self.vec
+        if not any(a):
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        a = _pstrip(self.coeffs)
-        modulus = tuple(Fraction(c) for c in self.field.modulus)
-        g, u, _ = _pxgcd(a, modulus)
+        if field.degree == 1:
+            return Cyclo(field, (self.den,), a[0])
+        if field.degree == 2:
+            # times the conjugate a0 + a1*x' (x + x' = m1, x*x' = -m0),
+            # over the norm
+            m0, m1 = field._rows[0]
+            a0, a1 = a
+            norm = a0 * a0 + m1 * a0 * a1 - m0 * a1 * a1
+            return Cyclo(field, (self.den * (a0 + m1 * a1), -self.den * a1), norm)
+        modulus = tuple(Fraction(c) for c in field.modulus)
+        g, u, _ = _pxgcd(_pstrip(self.coeffs), modulus)
         if len(g) != 1:
             raise ArithmeticError("cyclotomic modulus is not squarefree-coprime")
         u = _pscale(u, 1 / g[0])
         den = 1
         for c in u:
             den = den * c.denominator // gcd(den, c.denominator)
-        vec = [0] * self.field.degree
+        vec = [0] * field.degree
         for i, c in enumerate(u):
             vec[i] = c.numerator * (den // c.denominator)
-        return Cyclo(self.field, tuple(vec), den)
+        return Cyclo(field, tuple(vec), den)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -590,6 +642,15 @@ class Cyclo(_FieldElement):
 
     def __repr__(self):
         return f"Cyclo({self})"
+
+
+def _cyclo(field, vec, den):
+    """A Cyclo from a vector and denominator already in canonical form."""
+    r = Cyclo.__new__(Cyclo)
+    r.field = field
+    r.vec = vec
+    r.den = den
+    return r
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 
 from peakforge import oracle, sym
 from peakforge.combinatorics import (
+    compose,
+    compose_signed,
     compositions,
     permutations,
     signed_permutations,
@@ -132,3 +134,36 @@ def test_random_sym_internal_products_match_the_opposite_group_product():
         lhs = oracle.sym_to_group(sym.internal_product(a, b), 5)
         rhs = oracle.group_product(oracle.sym_to_group(b, 5), oracle.sym_to_group(a, 5))
         assert lhs.terms == rhs.terms
+
+
+@pytest.mark.parametrize("group", [oracle.SYMMETRIC, oracle.HYPEROCTAHEDRAL])
+def test_group_product_matches_a_nested_loop(group):
+    # repeated coefficients, ints among Fractions, and terms that cancel
+    rng = random.Random(7)
+    coeffs = [1, -1, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3)]
+    elements = permutations if group == oracle.SYMMETRIC else signed_permutations
+    mul = compose if group == oracle.SYMMETRIC else compose_signed
+    for n in (0, 1, 2, 3):
+        keys = sorted(elements(n))
+        for _ in range(10):
+            f, g = (
+                oracle.GroupAlgebraElement(
+                    QQ,
+                    group,
+                    {w: rng.choice(coeffs) for w in rng.sample(keys, rng.randint(1, len(keys)))},
+                )
+                for _ in range(2)
+            )
+            expected = {}
+            for u, cu in f.terms.items():
+                for v, cv in g.terms.items():
+                    w = mul(u, v)
+                    expected[w] = expected.get(w, 0) + cu * cv
+            expected = {w: c for w, c in expected.items() if c}
+            assert oracle.group_product(f, g).terms == expected
+
+
+def test_group_product_degree_mismatch_raises():
+    f = oracle.delta(QQ, (2, 1)) + oracle.delta(QQ, (1, 2, 3))
+    with pytest.raises(ValueError):
+        oracle.group_product(f, oracle.delta(QQ, (1, 2)))
