@@ -13,9 +13,17 @@ from __future__ import annotations
 
 def _subtract_multiple(target: dict, c, row: dict):
     """target -= c * row in place, dropping the entries that cancel."""
+    # -c only for the entries the target lacks, negated once, and only if
+    # there are any: most calls in rank scans find every entry present
+    neg = None
     for j, rc in row.items():
         newc = target.get(j)
-        newc = -c * rc if newc is None else newc - c * rc
+        if newc is None:
+            if neg is None:
+                neg = -c
+            newc = neg * rc
+        else:
+            newc = newc - c * rc
         if newc:
             target[j] = newc
         else:
@@ -31,6 +39,8 @@ class GradedSubspace:
     inserted generators: each label is one more coordinate after the
     ambient ones, set to one in the vector it labels, so elimination
     carries the combinations along and pivots stay ambient.
+
+    :meth:`freeze` makes a span read-only, for spans shared by a cache.
     """
 
     def __init__(self, ring, ambient_keys, degree=None, track=False):
@@ -45,6 +55,12 @@ class GradedSubspace:
         self._rows: dict[int, dict] = {}
         # label -> its coordinate, numbered on from the ambient ones
         self._labels: dict | None = {} if track else None
+        self._frozen = False
+
+    def freeze(self) -> GradedSubspace:
+        """Make later inserts raise; return the span itself."""
+        self._frozen = True
+        return self
 
     @property
     def rank(self) -> int:
@@ -79,6 +95,8 @@ class GradedSubspace:
 
     def insert(self, vec, label=None) -> bool:
         """Enlarge the span by a vector; True iff the rank grew."""
+        if self._frozen:
+            raise TypeError(f"{self!r} is frozen and cannot be enlarged")
         v = self._indexed(vec)
         if self._labels is not None:
             if label is None:

@@ -132,23 +132,25 @@ def conjectured_generator_count(n: int, r: int) -> int:
 
 def _image_span(n: int, r: int, keys, element, transform) -> GradedSubspace:
     """Degree-n span of the images of the complete words ``keys`` under
-    ``transform`` at q = zeta_r, over Q(zeta_r)."""
+    ``transform`` at q = zeta_r, over Q(zeta_r); frozen, since the cached
+    builders share it with every caller."""
     ring = cyclotomic_field(r)
     space = GradedSubspace(ring, keys, degree=n)
     for key in keys:
         space.insert(transform(element.monomial(ring, key), ring.zeta).terms)
-    return space
+    return space.freeze()
 
 
 def _module_span(n: int, r: int, keys, image_span, letter) -> GradedSubspace:
     """Degree-n span of the complete letter ``letter(k)`` times the
-    degree-(n-k) image span, for k from n down to 0."""
+    degree-(n-k) image span, for k from n down to 0; frozen like
+    :func:`_image_span`."""
     space = GradedSubspace(cyclotomic_field(r), keys, degree=n)
     for k in range(n, -1, -1):
         prefix = (letter(k),) if k else ()
         for row in image_span(n - k, r).basis():
             space.insert({prefix + key: c for key, c in row.items()})
-    return space
+    return space.freeze()
 
 
 @cache

@@ -4,8 +4,11 @@ Three coefficient fields are supported, all exact:
 
 * ``QQ`` -- the rationals, whose elements are :class:`fractions.Fraction`;
 * ``QQq`` -- the field Q(q) of rational functions in one indeterminate,
-  whose elements are :class:`RatFunc` (dense numerator/denominator
-  polynomials over Q, denominator monic, gcd one);
+  whose elements are :class:`RatFunc`: a numerator and a denominator in
+  Z[q] (dense integer coefficient tuples) with gcd one in Z[q] and a
+  positive leading denominator coefficient, so that arithmetic never builds
+  a Fraction; products cancel across the factors and sums take one gcd
+  against the factor the denominators share (Henrici's gcd split);
 * ``cyclotomic_field(r)`` -- Q(zeta_r) = Q[x]/Phi_r(x), whose elements are
   :class:`Cyclo` integer coefficient vectors of length phi(r) over a common
   denominator, reduced modulo the r-th cyclotomic polynomial.
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 from operator import add, sub
 
 __all__ = [
@@ -42,6 +45,7 @@ __all__ = [
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 _ONE = (_F1,)
+_Z1 = (1,)
 
 
 class SpecializationError(ZeroDivisionError):
@@ -108,28 +112,21 @@ def _pdivmod(a, b):
     return _pstrip(quo), _pstrip(rem)
 
 
+# --------------------------------------------------------------------------
+# Polynomials over Z: tuples of int, no trailing zeros, () is zero.  _padd
+# and _pneg serve them unchanged.
+
+
 def _int_content_strip(coeffs):
-    g = 0
-    for c in coeffs:
-        g = gcd(g, c)
-        if g == 1:
-            return tuple(coeffs)
-    if g > 1:
-        return tuple(c // g for c in coeffs)
-    return tuple(coeffs)
+    g = gcd(*coeffs)
+    return coeffs if g < 2 else tuple(c // g for c in coeffs)
 
 
-def _int_primitive(coeffs):
-    """Clear denominators of a Fraction polynomial and strip the content."""
-    n = len(coeffs)
-    while n and not coeffs[n - 1]:
-        n -= 1
-    coeffs = coeffs[:n]
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    return _int_content_strip(ints)
+def _int_cleared(coeffs):
+    """An integer polynomial P and a positive integer m with coeffs = P/m."""
+    coeffs = _pstrip(tuple(Fraction(c) for c in coeffs))
+    m = lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (m // c.denominator) for c in coeffs), m
 
 
 def _int_prem(a, b):
@@ -150,28 +147,80 @@ def _int_prem(a, b):
     return tuple(a)
 
 
-def _pgcd(a, b):
-    # primitive pseudo-remainder sequence over Z; far cheaper than Euclid
-    # with Fraction coefficients
-    A = _int_primitive(a)
-    B = _int_primitive(b)
-    while B:
-        A, B = B, _int_content_strip(_int_prem(A, B))
-    if not A:
+def _int_mul(a, b):
+    if not a or not b:
         return ()
-    lc = A[-1]
-    if lc == 1:
-        return tuple(Fraction(c) for c in A)
-    return tuple(Fraction(c, lc) for c in A)
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        c = b[0]
+        return a if c == 1 else tuple(x * c for x in a)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
+    return tuple(out)
 
 
-def _cancel(num, den):
-    """num and den divided by their gcd; a constant num shares none."""
-    if len(num) > 1 and den != _ONE:
-        g = _pgcd(num, den)
-        if len(g) > 1:
-            return _pdivmod(num, g)[0], _pdivmod(den, g)[0]
-    return num, den
+def _int_divexact(a, b):
+    """a / b in Z[q], for a nonzero b that divides a there."""
+    if len(b) == 1:
+        c = b[0]
+        return a if c == 1 else tuple(x // c for x in a)
+    nb = len(b) - 1
+    lb = b[-1]
+    low = b[:-1]
+    rem = list(a)
+    quo = [0] * (len(a) - nb)
+    for k in range(len(a) - nb - 1, -1, -1):
+        c = rem[k + nb]
+        if c:
+            c //= lb
+            quo[k] = c
+            for i, cb in enumerate(low, k):
+                rem[i] -= c * cb
+    return tuple(quo)
+
+
+def _int_gcd(a, b):
+    """gcd of two integer polynomials in Z[q], leading coefficient positive:
+    the gcd of the contents times the gcd of the primitive parts, which the
+    primitive pseudo-remainder sequence gives up to sign."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) < 2:
+        if b:
+            # a constant shares only an integer factor with the content
+            return (gcd(b[0], *a),)
+        return a if not a or a[-1] > 0 else _pneg(a)
+    ca = gcd(*a)
+    cb = gcd(*b)
+    A = a if ca == 1 else tuple(c // ca for c in a)
+    B = b if cb == 1 else tuple(c // cb for c in b)
+    while len(B) > 1:
+        A, B = B, _int_content_strip(_int_prem(A, B))
+    if B:
+        # a nonzero constant remainder: the primitive parts are coprime
+        A = _Z1
+    c = gcd(ca, cb)
+    if A[-1] < 0:
+        c = -c
+    return A if c == 1 else tuple(c * x for x in A)
+
+
+def _int_cancel(a, b):
+    """a and b divided by their gcd in Z[q]."""
+    g = _int_gcd(a, b)
+    if g == _Z1:
+        return a, b
+    return _int_divexact(a, g), _int_divexact(b, g)
+
+
+def _pgcd(a, b):
+    """Monic gcd of two polynomials over Q."""
+    g = _int_gcd(_int_cleared(a)[0], _int_cleared(b)[0])
+    return tuple(Fraction(c, g[-1]) for c in g)
 
 
 def _pxgcd(a, b):
@@ -263,119 +312,135 @@ class _FieldElement:
 
 
 class RatFunc(_FieldElement):
-    """A rational function in q over Q, in canonical reduced form.
+    """A rational function in q over Q, stored as N/D with N and D integer
+    polynomials (ascending ``int`` tuples) in canonical form: gcd(N, D) = 1
+    in Z[q], so they share neither a polynomial factor nor an integer
+    content; the leading coefficient of D is positive; zero is () over (1,).
 
-    The denominator is monic and coprime to the numerator; the zero element
-    has numerator () and denominator 1.  Construct values from ``QQq.q`` by
-    arithmetic rather than calling this constructor directly.
+    ``num`` and ``den`` give the same value with a monic denominator, as
+    tuples of Fraction.  Construct values from ``QQq.q`` by arithmetic
+    rather than calling this constructor directly.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, num=(), den=_ONE):
-        num = _pstrip(tuple(Fraction(c) for c in num))
-        den = _pstrip(tuple(Fraction(c) for c in den))
+        num, m = _int_cleared(num)
+        den, k = _int_cleared(den)
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:
-            den = _ONE
-        elif den != _ONE:
-            num, den = _cancel(num, den)
-            if den[-1] != 1:
-                inv = 1 / den[-1]
-                num = _pscale(num, inv)
-                den = _pscale(den, inv)
-        self.num = num
-        self.den = den
+            num, den = (), _Z1
+        else:
+            # (num/m) / (den/k)
+            num, den = _int_cancel(_int_mul(num, (k,)), _int_mul(den, (m,)))
+            if den[-1] < 0:
+                num, den = _pneg(num), _pneg(den)
+        self._num = num
+        self._den = den
+
+    @property
+    def num(self) -> tuple[Fraction, ...]:
+        lc = self._den[-1]
+        return tuple(Fraction(c, lc) for c in self._num)
+
+    @property
+    def den(self) -> tuple[Fraction, ...]:
+        d = self._den
+        if len(d) == 1:
+            return _ONE
+        return tuple(Fraction(c, d[-1]) for c in d)
 
     @staticmethod
     def _coerce(x):
         if isinstance(x, RatFunc):
             return x
-        if isinstance(x, (int, Fraction)):
-            r = RatFunc.__new__(RatFunc)
-            r.num = (Fraction(x),) if x else ()
-            r.den = _ONE
-            return r
+        if isinstance(x, int):
+            return _ratfunc((int(x),) if x else (), _Z1)
+        if isinstance(x, Fraction):
+            return _ratfunc((x.numerator,) if x else (), (x.denominator,))
         return None
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._num)
 
     def __eq__(self, other):
-        other = RatFunc._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+        if type(other) is not RatFunc:
+            other = RatFunc._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self):
         # a constant hashes like the equal Fraction, since it compares equal
-        if self.den == _ONE and len(self.num) < 2:
-            return hash(self.num[0] if self.num else _F0)
-        return hash((RatFunc, self.num, self.den))
+        if len(self._den) == 1 and len(self._num) < 2:
+            return hash(Fraction(self._num[0] if self._num else 0, self._den[0]))
+        return hash((RatFunc, self._num, self._den))
 
     def __neg__(self):
-        r = RatFunc.__new__(RatFunc)
-        r.num = _pneg(self.num)
-        r.den = self.den
-        return r
+        return _ratfunc(_pneg(self._num), self._den)
 
     def __add__(self, other):
-        other = RatFunc._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.den == other.den:
-            if self.den == _ONE:
-                r = RatFunc.__new__(RatFunc)
-                r.num = _padd(self.num, other.num)
-                r.den = _ONE
-                return r
-            return RatFunc(_padd(self.num, other.num), self.den)
-        return RatFunc(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den),
-        )
+        if type(other) is not RatFunc:
+            other = RatFunc._coerce(other)
+            if other is None:
+                return NotImplemented
+        n1, d1 = self._num, self._den
+        n2, d2 = other._num, other._den
+        if not n1:
+            return other
+        if not n2:
+            return self
+        if d1 == d2:
+            n = _padd(n1, n2)
+            if not n:
+                return _ratfunc((), _Z1)
+            if d1 == _Z1:
+                return _ratfunc(n, _Z1)
+            return _ratfunc(*_int_cancel(n, d1))
+        # with g = gcd(d1, d2) and d_i = g*e_i, the sum is
+        # (n1*e2 + n2*e1) / (g*e1*e2); the numerator is coprime to e1 and
+        # e2, so only g can share a factor with it
+        g = _int_gcd(d1, d2)
+        e1, e2 = _int_divexact(d1, g), _int_divexact(d2, g)
+        n, g = _int_cancel(_padd(_int_mul(n1, e2), _int_mul(n2, e1)), g)
+        return _ratfunc(n, _int_mul(_int_mul(g, e1), e2))
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        other = RatFunc._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.den == _ONE and len(self.num) < 2:
-            self, other = other, self
-        r = RatFunc.__new__(RatFunc)
-        if other.den == _ONE:
-            if len(other.num) < 2:
-                # a constant factor scales the numerator and keeps the
-                # denominator
-                r.num = _pscale(self.num, other.num[0]) if other.num else ()
-                r.den = self.den if r.num else _ONE
-                return r
-            if self.den == _ONE:
-                r.num = _pmul(self.num, other.num)
-                r.den = _ONE
-                return r
-        # cancel across the two factors; each factor is reduced with a monic
-        # denominator, so the product then is too and needs no second gcd
-        n1, d2 = _cancel(self.num, other.den)
-        n2, d1 = _cancel(other.num, self.den)
-        r.num = _pmul(n1, n2)
-        r.den = _pmul(d1, d2) if r.num else _ONE
-        return r
+        if type(other) is not RatFunc:
+            other = RatFunc._coerce(other)
+            if other is None:
+                return NotImplemented
+        n1, d1 = self._num, self._den
+        n2, d2 = other._num, other._den
+        if not n1 or not n2:
+            return _ratfunc((), _Z1)
+        # cancel across the two factors; each factor is canonical, so the
+        # product of the cancelled parts is too and needs no second gcd
+        if d2 != _Z1:
+            n1, d2 = _int_cancel(n1, d2)
+        if d1 != _Z1:
+            n2, d1 = _int_cancel(n2, d1)
+        return _ratfunc(_int_mul(n1, n2), _int_mul(d1, d2))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = RatFunc._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not other.num:
+        if type(other) is not RatFunc:
+            other = RatFunc._coerce(other)
+            if other is None:
+                return NotImplemented
+        n, d = other._num, other._den
+        if not n:
             raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        if n[-1] < 0:
+            n, d = _pneg(n), _pneg(d)
+        return self * _ratfunc(d, n)
 
     def __str__(self):
-        if self.den == _ONE:
+        if len(self._den) == 1:
             return _poly_str(self.num)
         return f"({_poly_str(self.num)})/({_poly_str(self.den)})"
 
@@ -383,23 +448,16 @@ class RatFunc(_FieldElement):
         return f"RatFunc({self})"
 
 
+def _ratfunc(num, den):
+    """A RatFunc from integer tuples already in canonical form."""
+    r = RatFunc.__new__(RatFunc)
+    r._num = num
+    r._den = den
+    return r
+
+
 # --------------------------------------------------------------------------
 # Cyclotomic fields
-
-
-def _int_div_monic(a, b):
-    """Exact division of integer polynomials, b monic."""
-    rem = list(a)
-    quo = [0] * (len(a) - len(b) + 1)
-    for k in range(len(a) - len(b), -1, -1):
-        c = rem[k + len(b) - 1]
-        if c:
-            quo[k] = c
-            for i, cb in enumerate(b):
-                rem[k + i] -= c * cb
-    if any(rem):
-        raise ArithmeticError("inexact integer polynomial division")
-    return tuple(quo)
 
 
 @cache
@@ -417,7 +475,7 @@ def cyclotomic_polynomial(r: int) -> tuple[int, ...]:
     poly = (-1,) + (0,) * (r - 1) + (1,)
     for d in range(1, r):
         if r % d == 0:
-            poly = _int_div_monic(poly, cyclotomic_polynomial(d))
+            poly = _int_divexact(poly, cyclotomic_polynomial(d))
     return poly
 
 
@@ -737,13 +795,13 @@ def specialize(f, order: int) -> Cyclo:
             acc = acc * zeta + field(c)
         return acc
 
-    den = horner(f.den)
+    den = horner(f._den)
     if not den:
         raise SpecializationError(
             f"denominator vanishes at a primitive {order}-th root of unity "
             f"(the cyclotomic polynomial of order {order} divides it)"
         )
-    return horner(f.num) / den
+    return horner(f._num) / den
 
 
 def scalar_str(x) -> str:

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from peakforge import mr, peak, sym
 from peakforge.combinatorics import colored_compositions, compositions
 from peakforge.linalg import GradedSubspace
-from peakforge.scalars import QQ, cyclotomic_field
+from peakforge.scalars import QQ, QQq, cyclotomic_field, specialize
 
 
 def test_series_coefficients():
@@ -85,6 +86,18 @@ def test_unital_peak_closure_small():
         for n in range(5):
             ok, witness = peak.closure_check(peak.unital_peak_subspace(n, r), "sym")
             assert ok, (r, n, witness)
+
+
+@pytest.mark.parametrize("algebra", sorted(peak._BUILDERS))
+def test_cached_subspaces_are_frozen(algebra):
+    # the builders are cached, so an insert would change every later rank
+    space = peak.subspace(algebra, 3, 2)
+    rank = space.rank
+    with pytest.raises(TypeError):
+        space.insert({key: space.ring(1) for key in space.keys})
+    assert space.rank == rank
+    assert peak.subspace(algebra, 3, 2) is space
+    assert peak.subspace(algebra, 3, 2).rank == rank
 
 
 def test_closure_negative_control():
@@ -167,6 +180,43 @@ def test_generator_normalization():
     for r in (2, 3):
         for n in range(1, 4):
             assert peak.generator_normalization_check(n, r)
+
+
+def _specialized_terms(element, r):
+    terms = {k: specialize(c, r) for k, c in element.terms.items()}
+    return {k: c for k, c in terms.items() if c}
+
+
+def _normalization_sides(ring, q, n, sign):
+    """The superization of S_n +- S_n-bar and the left-hand side of
+    ``generator_normalization_check`` over ``ring`` at ``q``."""
+    gen = peak._plus_minus(ring, n, sign)
+    sharp = mr.superization(gen, q)
+    scale = ring(1) - q**n if sign == 1 else ring(1) + q**n
+    return sharp, sharp - gen.scaled(scale)
+
+
+def test_symbolic_route_specializes_to_the_cyclotomic_route():
+    # Q(q) then q -> zeta_r, against the same elements computed over
+    # Q(zeta_r) at zeta_r directly
+    for r in range(3, 7):
+        field = cyclotomic_field(r)
+        for n in range(1, 5):
+            for sign in (1, -1):
+                symbolic = _normalization_sides(QQq, QQq.q, n, sign)
+                direct = _normalization_sides(field, field.zeta, n, sign)
+                for a, b in zip(symbolic, direct):
+                    assert _specialized_terms(a, r) == b.terms, (r, n, sign)
+        # the inverse series has denominators prod (1 - q^(2W)), W <= n,
+        # which vanish at zeta_r once r divides 2W; in the ribbon basis its
+        # coefficients are sums over unequal denominators
+        n_max = min(4, r // gcd(r, 2) - 1)
+        symbolic = mr.inverse_superization_series(QQq.q, n_max)
+        direct = mr.inverse_superization_series(field.zeta, n_max)
+        for basis in (mr.S, mr.R):
+            assert _specialized_terms(mr.convert(symbolic, basis), r) == (
+                mr.convert(direct, basis).terms
+            ), (r, basis)
 
 
 def test_pm_one_identities():

@@ -241,6 +241,109 @@ def test_constant_factors_keep_the_canonical_form():
     assert RatFunc._coerce(Fraction(-1, 2)).den is _ONE
 
 
+# small factors that random denominators share often, so that sums and
+# products have common factors to cancel
+_ratfunc_factors = [
+    (1, -1), (1, 1), (1, 2), (2, -1), (0, 1), (1, 0, -1), (1, 1, 1), (3,)
+]
+_shared_factor_ratfuncs = st.builds(
+    lambda num, top, bottom: _ratfunc(_int_product([num, *top]))
+    / _ratfunc(_int_product(bottom)),
+    _polys,
+    st.lists(st.sampled_from(_ratfunc_factors), max_size=2),
+    st.lists(st.sampled_from(_ratfunc_factors), max_size=3),
+)
+_operands = st.one_of(
+    _shared_factor_ratfuncs,
+    st.integers(-4, 4),
+    st.fractions(-4, 4, max_denominator=6),
+)
+
+
+def _int_product(polys):
+    out = [1]
+    for p in polys:
+        out = _int_mul(out, p)
+    return out
+
+
+def _assert_canonical_ratfunc(x):
+    # on the integer storage, checked without the Z[q] gcd under test:
+    # coprime contents and a constant gcd over Q (Euclid on Fractions)
+    from peakforge.scalars import _pxgcd
+
+    num, den = x._num, x._den
+    assert all(type(c) is int for c in num + den)
+    assert den and den[-1] > 0
+    if not num:
+        assert den == (1,)
+        return
+    assert num[-1] and gcd(*num, *den) == 1
+    g, _, _ = _pxgcd(tuple(map(Fraction, num)), tuple(map(Fraction, den)))
+    assert g == (1,)
+
+
+def _reference(op, a, b):
+    """op(a, b) from the cross-multiplied Fraction polynomials."""
+    from peakforge.scalars import _padd, _pmul, _pneg
+
+    a, b = RatFunc._coerce(a), RatFunc._coerce(b)
+    if op == "+":
+        num = _padd(_pmul(a.num, b.den), _pmul(b.num, a.den))
+    elif op == "-":
+        num = _padd(_pmul(a.num, b.den), _pneg(_pmul(b.num, a.den)))
+    elif op == "*":
+        num = _pmul(a.num, b.num)
+    else:
+        return RatFunc(_pmul(a.num, b.den), _pmul(a.den, b.num))
+    return RatFunc(num, _pmul(a.den, b.den))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shared_factor_ratfuncs, _operands)
+def test_ratfunc_arithmetic_matches_cross_multiplied_polynomials(a, b):
+    from peakforge.scalars import _pmul
+
+    # (a + b) - a shares the factor gcd(den a, den b) with its numerator
+    # whenever the sum's own denominator kept it
+    total = a + b
+    cases = [
+        ("+", a, b, total),
+        ("+", b, a, b + a),
+        ("-", a, b, a - b),
+        ("-", b, a, b - a),
+        ("-", total, a, total - a),
+        ("-", total, b, total - b),
+        ("*", a, b, a * b),
+        ("*", b, a, b * a),
+    ]
+    if b:
+        cases.append(("/", a, b, a / b))
+    if a:
+        cases.append(("/", b, a, b / a))
+    for op, x, y, result in cases:
+        expected = _reference(op, x, y)
+        assert isinstance(result, RatFunc)
+        _assert_canonical_ratfunc(result)
+        _assert_canonical_ratfunc(expected)
+        assert result == expected, (op, x, y)
+        # the same value, by cross-multiplying the monic views
+        assert _pmul(result.num, expected.den) == _pmul(expected.num, result.den)
+
+
+def test_ratfunc_sum_cancels_the_shared_denominator_factor():
+    # (a + b) - a has numerator 1+q over (1-q)(1+q)(1+2q) and (1-q)(1+q);
+    # only the gcd against their shared factor (1-q)(1+q) cancels the 1+q
+    q = QQq.q
+    one = QQq.one
+    a = one / ((one - q) * (one + q))
+    b = one / ((one - q) * (one + 2 * q))
+    for x in (a, b, a + b, (a + b) - a):
+        _assert_canonical_ratfunc(x)
+    assert (a + b) - a == b
+    assert a + b == (QQq(2) + 3 * q) / ((one + q) * (one + 2 * q) * (one - q))
+
+
 def _canonical_cyclo(x):
     return x.den > 0 and gcd(x.den, *x.vec) == 1 and (any(x.vec) or x.den == 1)
 
