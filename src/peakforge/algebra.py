@@ -89,9 +89,6 @@ class Element:
     def coefficient(self, key):
         return self.terms.get(key, self.ring(0))
 
-    def support(self):
-        return sorted(self.terms)
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -163,15 +160,6 @@ class Element:
 
     def __rmul__(self, coeff):
         return self.scaled(coeff)
-
-    def map_coefficients(self, fn, ring=None):
-        ring = ring or self.ring
-        return type(self)(
-            ring,
-            self.basis,
-            {k: fn(c) for k, c in self.terms.items()},
-            bound=self.bound,
-        )
 
     # ---- presentation
 

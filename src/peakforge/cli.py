@@ -149,11 +149,11 @@ def cmd_closure(args):
             {
                 "degree": n,
                 "ok": ok,
-                "witness": None if witness is None else repr(witness),
+                "witness": witness,
             }
         )
     lines = [f"closure algebra={args.algebra} r={args.r}"] + [
-        f"  degree {r['degree']}: {'closed' if r['ok'] else 'NOT closed: ' + str(r['witness'])}"
+        f"  degree {r['degree']}: {'closed' if r['ok'] else 'NOT closed: ' + r['witness']}"
         for r in results
     ]
     return ok_all, {"results": results}, lines
@@ -246,7 +246,8 @@ def cmd_oracle(args):
         f"group={args.group} n={args.n}: "
         + ("anti-isomorphism verified" if ok else f"{len(failures)} failures")
     ]
-    payload = {"ok": ok, "failures": [repr(f) for f in failures[:10]]}
+    lines += [f"  {f}" for f in failures[:10]]
+    payload = {"ok": ok, "failures": failures[:10]}
     return ok, payload, lines
 
 

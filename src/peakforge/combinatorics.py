@@ -90,10 +90,6 @@ def permutations(n: int):
     return itertools.permutations(range(1, n + 1))
 
 
-def is_permutation_word(word) -> bool:
-    return sorted(word) == list(range(1, len(word) + 1))
-
-
 def inverse(perm):
     inv = [0] * len(perm)
     for i, v in enumerate(perm):
@@ -260,10 +256,6 @@ def signed_permutations(n: int):
     for p in permutations(n):
         for signs in itertools.product((1, -1), repeat=n):
             yield tuple(s * v for s, v in zip(signs, p))
-
-
-def signed_word(perm, signs):
-    return tuple(s * v for s, v in zip(signs, perm))
 
 
 def compose_signed(u, v):
@@ -435,16 +427,6 @@ def flag_major_index_by_weights(jc, colors: int = 2) -> int:
 # Text encodings
 
 
-def parse_composition(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    parts = tuple(int(t) for t in text.split(","))
-    if any(p < 1 for p in parts):
-        raise ValueError(f"not a composition: {text!r}")
-    return parts
-
-
 def parse_colored_composition(text: str, colors: int = 2):
     """Parse "2,1,-3" (minus = barred, level 2) or "2~0,1~2" (explicit colors)."""
     text = text.strip()
@@ -464,17 +446,6 @@ def parse_colored_composition(text: str, colors: int = 2):
     if not is_colored_composition(jc, colors):
         raise ValueError(f"not a colored composition of level {colors}: {text!r}")
     return jc
-
-
-def parse_permutation(text: str):
-    text = text.strip()
-    if "," in text:
-        word = tuple(int(t) for t in text.split(","))
-    else:
-        word = tuple(int(ch) for ch in text)
-    if not is_permutation_word(word):
-        raise ValueError(f"not a permutation word: {text!r}")
-    return word
 
 
 def format_composition(comp) -> str:

@@ -16,6 +16,7 @@ from operator import itemgetter
 from .algebra import Element
 from .combinatorics import (
     descent_set,
+    format_composition,
     permutations_by_descent,
     signed_descent_set,
     signed_permutations,
@@ -114,10 +115,15 @@ def sym_to_group(f, n: int) -> GroupAlgebraElement:
     return out
 
 
+def _pair(I, J) -> str:
+    return f"{format_composition(I)} * {format_composition(J)}"
+
+
 def verify_descent_antimorphism(n: int):
     """Check that the internal product maps to the opposite product of
     descent classes: for all compositions I, J of n, the class expansion of
-    R_I * R_J equals class(J) times class(I).  Returns (ok, failures)."""
+    R_I * R_J equals class(J) times class(I).  Returns (ok, failures), each
+    failure naming its pair as ``"I * J"``."""
     from .combinatorics import compositions
 
     comps = list(compositions(n))
@@ -130,7 +136,7 @@ def verify_descent_antimorphism(n: int):
             lhs = sym_to_group(sym.internal_product(fI, fJ), n)
             rhs = group_product(classes[J], classes[I])
             if lhs.terms != rhs.terms:
-                failures.append((I, J))
+                failures.append(_pair(I, J))
     return not failures, failures
 
 
@@ -154,7 +160,8 @@ def verify_signed_antimorphism(n: int):
     """Type-B analogue: expand the internal product of two type-B complete
     basis elements over that basis, map to contained-descent classes, and
     compare with the opposite product in the hyperoctahedral group algebra.
-    Returns (ok, failures); failures may flag products leaving the span."""
+    Returns (ok, failures), each failure naming its pair as ``"I * J"`` and
+    saying whether the product left the span or the images differ."""
     comps = list(type_b_compositions(n))
     span = bsym_span(n)
     classes = {I: descent_class_bn(n, I) for I in comps}
@@ -165,7 +172,7 @@ def verify_signed_antimorphism(n: int):
             prod = mr.internal_product(elements[I], elements[J])
             coords = span.coordinates(prod.terms)
             if coords is None:
-                failures.append((I, J, "outside the type-B span"))
+                failures.append(f"{_pair(I, J)}: outside the type-B span")
                 continue
             # every class is a sum of group elements with coefficient one
             lhs = Counter()
@@ -173,5 +180,6 @@ def verify_signed_antimorphism(n: int):
                 lhs.update(dict.fromkeys(classes[K].terms, c))
             rhs = group_product(classes[J], classes[I])
             if {w: c for w, c in lhs.items() if c} != rhs.terms:
-                failures.append((I, J, "images differ"))
+                failures.append(f"{_pair(I, J)}: images differ")
     return not failures, failures
+

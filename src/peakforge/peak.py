@@ -209,7 +209,8 @@ def closure_check(sub: GradedSubspace, algebra: str, ideal: bool = False):
     With ``ideal=False``: every product of two basis rows must stay inside.
     With ``ideal=True``: every product (full ambient basis) * (basis row)
     must stay inside (left ideal over the whole graded component).
-    Returns (ok, witness) where the witness names the first failing pair.
+    Returns (ok, witness) where the witness names the first failing pair,
+    ``"<left key> * <right key>"``; a row is named by its pivot key.
     """
     element = {"sym": sym.SymElement, "mr": mr.MrElement}.get(algebra)
     if element is None:
@@ -223,24 +224,25 @@ def closure_check(sub: GradedSubspace, algebra: str, ideal: bool = False):
     for u, utag in lefts:
         for v, vtag in zip(rows, pivots):
             if not sub.contains(internal(u, v, element.structure, element.key_degree)):
-                return False, {"left": utag, "right": vtag}
+                return False, f"{element.key_str(utag)} * {element.key_str(vtag)}"
     return True, None
 
 
 def bsym_closure_check(n: int):
     """Closure of the span of the type-B complete basis elements under the
-    internal product (q = -1 superization), over Q."""
-    from .combinatorics import type_b_compositions
+    internal product (q = -1 superization), over Q.  The witness names the
+    two type-B compositions of the first product that leaves the span."""
+    from .combinatorics import format_composition, type_b_compositions
 
     space = GradedSubspace(QQ, sorted(colored_compositions(n)), degree=n)
-    elements = [mr.bsym_complete(I) for I in sorted(type_b_compositions(n))]
-    for e in elements:
+    elements = {I: mr.bsym_complete(I) for I in sorted(type_b_compositions(n))}
+    for e in elements.values():
         space.insert(e.terms)
-    for u in elements:
-        for v in elements:
+    for I, u in elements.items():
+        for J, v in elements.items():
             prod = mr.internal_product(u, v)
             if not space.contains(prod.terms):
-                return False, {"left": u, "right": v}
+                return False, f"{format_composition(I)} * {format_composition(J)}"
     return True, None
 
 

@@ -6,12 +6,20 @@ Three coefficient fields are supported, all exact:
 * ``QQq`` -- the field Q(q) of rational functions in one indeterminate,
   whose elements are :class:`RatFunc`: a numerator and a denominator in
   Z[q] (dense integer coefficient tuples) with gcd one in Z[q] and a
-  positive leading denominator coefficient, so that arithmetic never builds
-  a Fraction; products cancel across the factors and sums take one gcd
-  against the factor the denominators share (Henrici's gcd split);
+  positive leading denominator coefficient; products cancel across the
+  factors and sums take one gcd against the factor the denominators share
+  (Henrici's gcd split);
 * ``cyclotomic_field(r)`` -- Q(zeta_r) = Q[x]/Phi_r(x), whose elements are
   :class:`Cyclo` integer coefficient vectors of length phi(r) over a common
-  denominator, reduced modulo the r-th cyclotomic polynomial.
+  denominator.  Each field holds one table, x^j mod Phi_r for j < r, which
+  reduces products, evaluates integer polynomials at zeta^k (for
+  :func:`specialize` and the Galois conjugates) and so inverts by the norm:
+  1/a is the product of the other conjugates of a over N(a).
+
+Integer polynomials are the one polynomial representation at run time.
+``Fraction`` appears only as the element type of ``QQ``, in coercion (the
+``RatFunc`` constructor clears the denominators of its arguments), and in
+the ``num``/``den``/``coeffs`` views.
 
 Elements are immutable, hashable, support ``+ - * / **`` with ``int`` and
 ``Fraction`` coercion, and are always kept in canonical form, so ``==`` is
@@ -53,8 +61,8 @@ class SpecializationError(ZeroDivisionError):
 
 
 # --------------------------------------------------------------------------
-# Dense univariate polynomials over Q: tuples of Fraction, no trailing zeros.
-# () is the zero polynomial.
+# Polynomials over Z: dense tuples of int, ascending, no trailing zeros; ()
+# is zero.
 
 
 def _pstrip(coeffs):
@@ -75,46 +83,6 @@ def _padd(a, b):
 
 def _pneg(a):
     return tuple(-c for c in a)
-
-
-def _pscale(a, s):
-    if not s:
-        return ()
-    return _pstrip(tuple(c * s for c in a))
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [_F0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-    return _pstrip(out)
-
-
-def _pdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    if len(a) < len(b):
-        return (), _pstrip(rem)
-    quo = [_F0] * (len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = rem[k + len(b) - 1] * inv
-        if c:
-            quo[k] = c
-            for i, cb in enumerate(b):
-                rem[k + i] -= c * cb
-    return _pstrip(quo), _pstrip(rem)
-
-
-# --------------------------------------------------------------------------
-# Polynomials over Z: tuples of int, no trailing zeros, () is zero.  _padd
-# and _pneg serve them unchanged.
 
 
 def _int_content_strip(coeffs):
@@ -142,8 +110,6 @@ def _int_prem(a, b):
             a[shift + i] -= la * cb
         while a and not a[-1]:
             a.pop()
-        if not a:
-            break
     return tuple(a)
 
 
@@ -215,28 +181,6 @@ def _int_cancel(a, b):
     if g == _Z1:
         return a, b
     return _int_divexact(a, g), _int_divexact(b, g)
-
-
-def _pgcd(a, b):
-    """Monic gcd of two polynomials over Q."""
-    g = _int_gcd(_int_cleared(a)[0], _int_cleared(b)[0])
-    return tuple(Fraction(c, g[-1]) for c in g)
-
-
-def _pxgcd(a, b):
-    """Monic g = gcd(a, b) together with u, v such that u*a + v*b = g."""
-    r0, r1 = a, b
-    s0, s1 = _ONE, ()
-    t0, t1 = (), _ONE
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _padd(s0, _pneg(_pmul(q, s1)))
-        t0, t1 = t1, _padd(t0, _pneg(_pmul(q, t1)))
-    if r0 and r0[-1] != 1:
-        inv = 1 / r0[-1]
-        r0, s0, t0 = _pscale(r0, inv), _pscale(s0, inv), _pscale(t0, inv)
-    return r0, s0, t0
 
 
 def _poly_str(coeffs, var="q"):
@@ -480,30 +424,54 @@ def cyclotomic_polynomial(r: int) -> tuple[int, ...]:
 
 
 class CyclotomicField:
-    """Q(zeta_r) realized as Q[x]/Phi_r(x); use :func:`cyclotomic_field`."""
+    """Q(zeta_r) realized as Q[x]/Phi_r(x); use :func:`cyclotomic_field`.
+
+    ``powers[j]`` is x^j mod Phi_r as an integer vector, for j < r; since
+    Phi_r divides x^r - 1, these r vectors reduce every power of zeta."""
 
     def __init__(self, order: int):
         self.order = order
         self.modulus = cyclotomic_polynomial(order)
-        self.degree = len(self.modulus) - 1
-        # reduction rows: x^(degree + i) mod Phi_r as integer vectors
-        rows = [tuple(-c for c in self.modulus[:-1])]
-        for _ in range(self.degree - 2):
-            prev = rows[-1]
-            shifted = [0] + list(prev[:-1])
-            top = prev[-1]
+        self.degree = d = len(self.modulus) - 1
+        low = [-c for c in self.modulus[:-1]]  # x^d = sum low[i] x^i
+        vec = [1] + [0] * (d - 1)
+        powers = []
+        for _ in range(order):
+            powers.append(tuple(vec))
+            top = vec[-1]
+            vec = [0] + vec[:-1]
             if top:
-                for j, c in enumerate(rows[0]):
-                    shifted[j] += top * c
-            rows.append(tuple(shifted))
-        self._rows = tuple(rows)
+                for i, c in enumerate(low):
+                    vec[i] += top * c
+        self.powers = tuple(powers)
+        # the k != 1 in (Z/r)^*: zeta -> zeta^k are the other embeddings
+        self._conjugates = tuple(k for k in range(2, order) if gcd(k, order) == 1)
         self.name = f"QQ(zeta_{order})"
-        self.zero = Cyclo(self, (0,) * self.degree, 1)
-        self.one = Cyclo(self, (1,) + (0,) * (self.degree - 1), 1)
-        if self.degree == 1:
-            self.zeta = Cyclo(self, (self._rows[0][0],), 1)
+        self.zero = Cyclo(self, (0,) * d, 1)
+        self.one = Cyclo(self, self.powers[0], 1)
+        self.zeta = Cyclo(self, self.powers[1 % order], 1)
+
+    def _at(self, coeffs, k=1):
+        """The integer vector of sum_i coeffs[i] * zeta^(i*k), for an
+        integer polynomial ``coeffs`` of any length."""
+        r, d = self.order, self.degree
+        if k == 1:
+            acc = list(coeffs[:r])
+            for i in range(r, len(coeffs)):
+                acc[i % r] += coeffs[i]
         else:
-            self.zeta = Cyclo(self, (0, 1) + (0,) * (self.degree - 2), 1)
+            acc = [0] * r
+            for i, c in enumerate(coeffs):
+                acc[i * k % r] += c
+        out = acc[:d] + [0] * (d - len(acc))
+        powers = self.powers
+        for j in range(d, len(acc)):
+            c = acc[j]
+            if c:
+                for t, p in enumerate(powers[j]):
+                    if p:
+                        out[t] += c * p
+        return tuple(out)
 
     def __call__(self, x):
         if isinstance(x, Cyclo):
@@ -537,9 +505,10 @@ class Cyclo(_FieldElement):
     """An element of Q(zeta_r): integer coefficient vector over a common
     positive denominator, reduced mod Phi_r, gcd one.
 
-    Fields of degree 1 and 2 (r = 1, 2, 3, 4, 6) multiply and invert in
-    closed form; higher degrees convolve and run the extended Euclidean
-    algorithm."""
+    Fields of degree 1 and 2 (r = 1, 2, 3, 4, 6) multiply in closed form and
+    degree 2 also inverts in closed form; higher degrees convolve and reduce
+    through the field's table of zeta powers.  Every other inverse is the
+    product of the other conjugates over the norm, all in integers."""
 
     __slots__ = ("field", "vec", "den")
 
@@ -547,11 +516,7 @@ class Cyclo(_FieldElement):
         if den < 0:
             vec = tuple(-v for v in vec)
             den = -den
-        g = den
-        for v in vec:
-            g = gcd(g, v)
-            if g == 1:
-                break
+        g = gcd(den, *vec)
         if g > 1:
             vec = tuple(v // g for v in vec)
             den //= g
@@ -632,7 +597,7 @@ class Cyclo(_FieldElement):
             out = (a[0] * b[0],)
         elif d == 2:
             # x^2 = m0 + m1*x
-            m0, m1 = field._rows[0]
+            m0, m1 = field.powers[2]
             a0, a1 = a
             b0, b1 = b
             t = a1 * b1
@@ -641,19 +606,10 @@ class Cyclo(_FieldElement):
             conv = [0] * (2 * d - 1)
             for i, va in enumerate(a):
                 if va:
-                    for j, vb in enumerate(b):
+                    for j, vb in enumerate(b, i):
                         if vb:
-                            conv[i + j] += va * vb
-            rows = field._rows
-            out = conv[:d]
-            for k in range(d, 2 * d - 1):
-                c = conv[k]
-                if c:
-                    row = rows[k - d]
-                    for j, rv in enumerate(row):
-                        if rv:
-                            out[j] += c * rv
-            out = tuple(out)
+                            conv[j] += va * vb
+            out = field._at(conv)
         den = self.den * other.den
         if den == 1:
             return _cyclo(field, out, 1)
@@ -666,27 +622,19 @@ class Cyclo(_FieldElement):
         a = self.vec
         if not any(a):
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        if field.degree == 1:
-            return Cyclo(field, (self.den,), a[0])
         if field.degree == 2:
             # times the conjugate a0 + a1*x' (x + x' = m1, x*x' = -m0),
             # over the norm
-            m0, m1 = field._rows[0]
+            m0, m1 = field.powers[2]
             a0, a1 = a
             norm = a0 * a0 + m1 * a0 * a1 - m0 * a1 * a1
             return Cyclo(field, (self.den * (a0 + m1 * a1), -self.den * a1), norm)
-        modulus = tuple(Fraction(c) for c in field.modulus)
-        g, u, _ = _pxgcd(_pstrip(self.coeffs), modulus)
-        if len(g) != 1:
-            raise ArithmeticError("cyclotomic modulus is not squarefree-coprime")
-        u = _pscale(u, 1 / g[0])
-        den = 1
-        for c in u:
-            den = den * c.denominator // gcd(den, c.denominator)
-        vec = [0] * field.degree
-        for i, c in enumerate(u):
-            vec[i] = c.numerator * (den // c.denominator)
-        return Cyclo(field, tuple(vec), den)
+        # 1/a = (product of the other conjugates of a) / N(a), N(a) rational
+        rest = field.one
+        for k in field._conjugates:
+            rest = rest * _cyclo(field, field._at(a, k), 1)
+        norm = (_cyclo(field, a, 1) * rest).vec[0]
+        return Cyclo(field, tuple(self.den * v for v in rest.vec), norm)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -787,21 +735,13 @@ def specialize(f, order: int) -> Cyclo:
         return field(f)
     if not isinstance(f, RatFunc):
         raise TypeError(f"cannot specialize {f!r}")
-    zeta = field.zeta
-
-    def horner(coeffs):
-        acc = field.zero
-        for c in reversed(coeffs):
-            acc = acc * zeta + field(c)
-        return acc
-
-    den = horner(f._den)
-    if not den:
+    den = field._at(f._den)
+    if not any(den):
         raise SpecializationError(
             f"denominator vanishes at a primitive {order}-th root of unity "
             f"(the cyclotomic polynomial of order {order} divides it)"
         )
-    return horner(f._num) / den
+    return _cyclo(field, field._at(f._num), 1) * _cyclo(field, den, 1).inverse()
 
 
 def scalar_str(x) -> str:

@@ -89,6 +89,39 @@ def test_closure_bsym(capsys):
     assert all(r["ok"] for r in data["results"])
 
 
+def test_failure_witnesses_are_readable(capsys, monkeypatch):
+    from peakforge import peak, sym
+    from peakforge.linalg import GradedSubspace
+    from peakforge.scalars import QQ
+
+    closed = peak.unital_peak_subspace
+
+    def one_row_short(n, r):
+        space = closed(n, r)
+        if n < 3:
+            return space
+        out = GradedSubspace(space.ring, space.keys, degree=space.degree)
+        for row in space.basis()[1:]:
+            out.insert(row)
+        return out
+
+    monkeypatch.setattr(peak, "unital_peak_subspace", one_row_short)
+    argv = ("closure", "--algebra", "unital-peak", "--r", "3", "--degree", "3")
+    code, data = run_json(capsys, *argv)
+    assert code == 1
+    assert [r["witness"] for r in data["results"]] == [None, None, None, "1,2 * 1,2"]
+    code, out = run_cli(capsys, *argv)
+    assert "degree 3: NOT closed: 1,2 * 1,2" in out
+
+    zero = sym.SymElement(QQ, sym.R, {})
+    monkeypatch.setattr(sym, "internal_product", lambda f, g: zero)
+    code, data = run_json(capsys, "oracle", "--group", "Sn", "--n", "2")
+    assert code == 1
+    assert data["failures"] == ["1,1 * 1,1", "1,1 * 2", "2 * 1,1", "2 * 2"]
+    code, out = run_cli(capsys, "oracle", "--group", "Sn", "--n", "2")
+    assert "  2 * 1,1" in out.splitlines()
+
+
 def test_oracle_sn(capsys):
     code, data = run_json(capsys, "oracle", "--group", "Sn", "--n", "3")
     assert code == 0 and data["ok"] is True

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from peakforge import oracle, sym
+from peakforge import mr, oracle, sym
 from peakforge.combinatorics import (
     compose,
     compose_signed,
@@ -167,3 +167,19 @@ def test_group_product_degree_mismatch_raises():
     f = oracle.delta(QQ, (2, 1)) + oracle.delta(QQ, (1, 2, 3))
     with pytest.raises(ValueError):
         oracle.group_product(f, oracle.delta(QQ, (1, 2)))
+
+
+def test_failures_name_the_compositions(monkeypatch):
+    # internal products forced wrong: every pair fails, named "I * J"
+    zero = sym.SymElement(QQ, sym.R, {})
+    monkeypatch.setattr(sym, "internal_product", lambda f, g: zero)
+    assert oracle.verify_descent_antimorphism(2) == (
+        False,
+        ["1,1 * 1,1", "1,1 * 2", "2 * 1,1", "2 * 2"],
+    )
+    outside = mr.monomial(QQ, ((1, 0), (1, 0)))
+    monkeypatch.setattr(mr, "internal_product", lambda u, v: outside)
+    ok, failures = oracle.verify_signed_antimorphism(2)
+    assert not ok and len(failures) == 16
+    assert failures[0] == "1,1 * 1,1: outside the type-B span"
+    assert "0,1,1 * 0,2: outside the type-B span" in failures

@@ -110,6 +110,30 @@ def test_closure_negative_control():
     assert witness is not None
 
 
+def _without_first_row(space):
+    out = GradedSubspace(space.ring, space.keys, degree=space.degree)
+    for row in space.basis()[1:]:
+        out.insert(row)
+    return out
+
+
+def test_closure_witness_names_the_keys():
+    # one row short of a closed span, the first product that leaves it is
+    # named by key strings, with bars as minus signs at level 2
+    sub = _without_first_row(peak.unital_peak_subspace(3, 3))
+    assert peak.closure_check(sub, "sym") == (False, "1,2 * 1,2")
+    sub = _without_first_row(peak.mr_sharp_module_subspace(2, 3))
+    assert peak.closure_check(sub, "mr") == (False, "1,-1 * 1,-1")
+
+
+def test_bsym_closure_witness_names_the_compositions(monkeypatch):
+    # every product lands on a key outside the type-B span, so the first
+    # pair of type-B compositions fails
+    outside = mr.monomial(QQ, ((1, 0), (1, 0)))
+    monkeypatch.setattr(mr, "internal_product", lambda u, v: outside)
+    assert peak.bsym_closure_check(2) == (False, "0,1,1 * 0,1,1")
+
+
 def test_mr_sharp_dimensions_small():
     assert [peak.mr_sharp_subspace(n, 2).rank for n in range(5)] == [1, 1, 2, 4, 8]
     assert [peak.mr_sharp_subspace(n, 3).rank for n in range(5)] == [1, 2, 6, 17, 50]

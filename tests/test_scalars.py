@@ -11,6 +11,10 @@ from peakforge.scalars import (
     Cyclo,
     RatFunc,
     SpecializationError,
+    _int_gcd,
+    _padd,
+    _pneg,
+    _pstrip,
     common_ring,
     cyclotomic_field,
     cyclotomic_polynomial,
@@ -18,6 +22,58 @@ from peakforge.scalars import (
     scalar_str,
     specialize,
 )
+
+# --------------------------------------------------------------------------
+# Reference model: dense polynomials over Q as ascending tuples of Fraction,
+# with schoolbook products and Euclid, independent of the integer
+# arithmetic of peakforge.scalars.  () is zero.
+
+
+def _pscale(a, s):
+    if not s:
+        return ()
+    return _pstrip(tuple(c * s for c in a))
+
+
+def _pmul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _pstrip(out)
+
+
+def _pdivmod(a, b):
+    rem = list(a)
+    if len(a) < len(b):
+        return (), _pstrip(rem)
+    quo = [Fraction(0)] * (len(a) - len(b) + 1)
+    for k in range(len(a) - len(b), -1, -1):
+        c = rem[k + len(b) - 1] / b[-1]
+        quo[k] = c
+        for i, cb in enumerate(b):
+            rem[k + i] -= c * cb
+    return _pstrip(quo), _pstrip(rem)
+
+
+def _pxgcd(a, b):
+    """Monic g = gcd(a, b) together with u, v such that u*a + v*b = g."""
+    one = (Fraction(1),)
+    r0, r1 = a, b
+    s0, s1 = one, ()
+    t0, t1 = (), one
+    while r1:
+        q, r = _pdivmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _padd(s0, _pneg(_pmul(q, s1)))
+        t0, t1 = t1, _padd(t0, _pneg(_pmul(q, t1)))
+    if r0 and r0[-1] != 1:
+        inv = 1 / r0[-1]
+        r0, s0, t0 = _pscale(r0, inv), _pscale(s0, inv), _pscale(t0, inv)
+    return r0, s0, t0
+
 
 
 def test_module_doctests():
@@ -118,19 +174,39 @@ def test_specialize_examples():
     # 1/(1-q) cannot be evaluated at q = 1
     with pytest.raises(SpecializationError):
         specialize(QQq.one / (QQq.one - q), 1)
+    # degree-4 fields: q^5 is 1 at a primitive 5th root and -1 at a 10th
+    with pytest.raises(SpecializationError):
+        specialize(QQq.one / (QQq.one - q**5), 5)
+    with pytest.raises(SpecializationError):
+        specialize(QQq.one / (QQq.one + q**5), 10)
+    assert specialize(QQq.one / (QQq.one + q**5), 5) == cyclotomic_field(5)(
+        Fraction(1, 2)
+    )
 
 
-@settings(max_examples=60, deadline=None)
+def _horner(field, coeffs):
+    acc = field.zero
+    for c in reversed(coeffs):
+        acc = acc * field.zeta + field(c)
+    return acc
+
+
+@settings(max_examples=100, deadline=None)
 @given(
-    st.integers(2, 6),
-    st.lists(st.integers(-4, 4), min_size=1, max_size=4),
-    st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+    st.integers(1, 12),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=16),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=16),
 )
 def test_specialize_is_multiplicative(r, a_coeffs, b_coeffs):
+    # polynomials longer than r, so that exponents wrap around mod r
     a = RatFunc([Fraction(c) for c in a_coeffs])
     b = RatFunc([Fraction(c) for c in b_coeffs])
+    field = cyclotomic_field(r)
+    assert specialize(a, r) == _horner(field, a_coeffs)
     assert specialize(a * b, r) == specialize(a, r) * specialize(b, r)
     assert specialize(a + b, r) == specialize(a, r) + specialize(b, r)
+    if specialize(b, r):
+        assert specialize(a / b, r) == specialize(a, r) / specialize(b, r)
 
 
 @settings(max_examples=40, deadline=None)
@@ -213,15 +289,13 @@ _factors = st.one_of(
 @settings(max_examples=100, deadline=None)
 @given(_ratfuncs, _factors)
 def test_ratfunc_product_is_canonical(a, b):
-    from peakforge.scalars import _pgcd, _pmul
-
     other = RatFunc._coerce(b)
     expected = RatFunc(_pmul(a.num, other.num), _pmul(a.den, other.den))
     for p in (a * b, b * a):
         assert isinstance(p, RatFunc)
         assert p.den[-1] == 1
         if p.num:
-            assert _pgcd(p.num, p.den) == (1,)
+            assert _int_gcd(p._num, p._den) == (1,)
         else:
             assert p.den == (1,)
         assert (p.num, p.den) == (expected.num, expected.den)
@@ -270,8 +344,6 @@ def _int_product(polys):
 def _assert_canonical_ratfunc(x):
     # on the integer storage, checked without the Z[q] gcd under test:
     # coprime contents and a constant gcd over Q (Euclid on Fractions)
-    from peakforge.scalars import _pxgcd
-
     num, den = x._num, x._den
     assert all(type(c) is int for c in num + den)
     assert den and den[-1] > 0
@@ -285,8 +357,6 @@ def _assert_canonical_ratfunc(x):
 
 def _reference(op, a, b):
     """op(a, b) from the cross-multiplied Fraction polynomials."""
-    from peakforge.scalars import _padd, _pmul, _pneg
-
     a, b = RatFunc._coerce(a), RatFunc._coerce(b)
     if op == "+":
         num = _padd(_pmul(a.num, b.den), _pmul(b.num, a.den))
@@ -302,8 +372,6 @@ def _reference(op, a, b):
 @settings(max_examples=300, deadline=None)
 @given(_shared_factor_ratfuncs, _operands)
 def test_ratfunc_arithmetic_matches_cross_multiplied_polynomials(a, b):
-    from peakforge.scalars import _pmul
-
     # (a + b) - a shares the factor gcd(den a, den b) with its numerator
     # whenever the sum's own denominator kept it
     total = a + b
@@ -348,20 +416,28 @@ def _canonical_cyclo(x):
     return x.den > 0 and gcd(x.den, *x.vec) == 1 and (any(x.vec) or x.den == 1)
 
 
-_cyclo_vectors = st.lists(st.integers(-9, 9), min_size=12, max_size=12)
 _cyclo_dens = st.integers(-12, 12).filter(bool)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 12), _cyclo_vectors, _cyclo_dens, _cyclo_vectors, _cyclo_dens)
-def test_cyclo_arithmetic_matches_polynomials_mod_phi(r, u, du, v, dv):
-    # reference: Fraction polynomials reduced modulo Phi_r
-    from peakforge.scalars import _padd, _pdivmod, _pmul, _pneg, _pstrip
+@st.composite
+def _cyclo_pairs(draw):
+    # r up to 30 reaches fields of degree 28, so the norm inverse multiplies
+    # up to 27 conjugates
+    r = draw(st.integers(1, 30))
+    degree = len(cyclotomic_polynomial(r)) - 1
+    vectors = st.lists(st.integers(-9, 9), min_size=degree, max_size=degree)
+    return r, draw(vectors), draw(_cyclo_dens), draw(vectors), draw(_cyclo_dens)
 
+
+@settings(max_examples=300, deadline=None)
+@given(_cyclo_pairs())
+def test_cyclo_arithmetic_matches_polynomials_mod_phi(case):
+    # reference: Fraction polynomials reduced modulo Phi_r
+    r, u, du, v, dv = case
     field = cyclotomic_field(r)
     modulus = tuple(Fraction(c) for c in field.modulus)
-    x = Cyclo(field, u[: field.degree], du)
-    y = Cyclo(field, v[: field.degree], dv)
+    x = Cyclo(field, u, du)
+    y = Cyclo(field, v, dv)
 
     def poly(z):
         return _pstrip(z.coeffs)
@@ -391,26 +467,29 @@ def test_cyclo_arithmetic_matches_polynomials_mod_phi(r, u, du, v, dv):
     st.lists(st.integers(-6, 6), min_size=1, max_size=6),
 )
 def test_poly_gcd_divides_both(a_coeffs, b_coeffs):
-    from peakforge.scalars import _pdivmod, _pgcd, _pstrip
-
-    a = _pstrip(tuple(Fraction(c) for c in a_coeffs))
-    b = _pstrip(tuple(Fraction(c) for c in b_coeffs))
-    g = _pgcd(a, b)
+    a, b = _pstrip(tuple(a_coeffs)), _pstrip(tuple(b_coeffs))
+    g = _int_gcd(a, b)
     if not a and not b:
         assert g == ()
         return
-    assert g and g[-1] == 1
-    for poly in (a, b):
+    assert g and g[-1] > 0
+    fa, fb, fg = (tuple(map(Fraction, p)) for p in (a, b, g))
+    for poly in (fa, fb):
         if poly:
-            assert _pdivmod(poly, g)[1] == ()
+            assert _pdivmod(poly, fg)[1] == ()
+    if a and b:
+        # nothing larger divides both: coprime cofactors over Q, and the
+        # content of g is the gcd of the contents
+        assert _pxgcd(_pdivmod(fa, fg)[0], _pdivmod(fb, fg)[0])[0] == (1,)
+        assert gcd(*g) == gcd(*a, *b)
     # gcd absorbs a common factor exactly
-    common = _pstrip((Fraction(1), Fraction(-1)))  # 1 - q... reversed sign ok
-    g2 = _pgcd(
-        tuple(Fraction(x) for x in _int_mul(a_coeffs, [1, -1])),
-        tuple(Fraction(x) for x in _int_mul(b_coeffs, [1, -1])),
+    common = (Fraction(1), Fraction(-1))
+    g2 = _int_gcd(
+        _pstrip(tuple(_int_mul(a_coeffs, [1, -1]))),
+        _pstrip(tuple(_int_mul(b_coeffs, [1, -1]))),
     )
     if a and b:
-        assert _pdivmod(g2, common)[1] == ()
+        assert _pdivmod(tuple(map(Fraction, g2)), common)[1] == ()
 
 
 def _int_mul(a, b):
