@@ -6,9 +6,17 @@ to scalars.  Pivots are the smallest nonzero key in the ambient key order,
 pivot coefficients are rescaled to one after every reduction, and every row
 is reduced against all the others, so rank and membership queries are exact
 and the stored basis is canonical.
+
+Every elimination step is one ``target -= c * row``.  A span picks its
+kernel for that step once, from its ring: over Q(zeta_r) of degree 1 or 2
+(r = 1, 2, 3, 4, 6) it is :func:`~peakforge.scalars.cyclo_subtract_multiple`,
+which works on the integer vectors of the entries; over every other field
+it is the generic :func:`_subtract_multiple` in the field's own arithmetic.
 """
 
 from __future__ import annotations
+
+from .scalars import CyclotomicField, cyclo_subtract_multiple, scalar_str
 
 
 def _subtract_multiple(target: dict, c, row: dict):
@@ -53,6 +61,10 @@ class GradedSubspace:
                 raise ValueError(f"duplicate ambient key {k!r}")
             self._index[k] = i
         self._rows: dict[int, dict] = {}
+        if isinstance(ring, CyclotomicField) and ring.degree <= 2:
+            self._subtract = cyclo_subtract_multiple
+        else:
+            self._subtract = _subtract_multiple
         # label -> its coordinate, numbered on from the ambient ones
         self._labels: dict | None = {} if track else None
         self._frozen = False
@@ -82,14 +94,15 @@ class GradedSubspace:
         """Fully reduce an indexed vector against the stored rows in place;
         return its pivot, the smallest ambient coordinate left, or None."""
         rows = self._rows
+        subtract = self._subtract
         for i in sorted(v):
             row = rows.get(i)
             if row is None:
                 continue
-            c = v.get(i)
-            if not c:
+            c = v.get(i)  # stored entries are never zero
+            if c is None:
                 continue
-            _subtract_multiple(v, c, row)
+            subtract(v, c, row)
         pivot = min(v, default=len(self.keys))
         return pivot if pivot < len(self.keys) else None
 
@@ -112,8 +125,8 @@ class GradedSubspace:
         # back-eliminate the new pivot from the existing rows
         for other in self._rows.values():
             c = other.get(pivot)
-            if c:
-                _subtract_multiple(other, c, row)
+            if c is not None:
+                self._subtract(other, c, row)
         self._rows[pivot] = row
         return True
 
@@ -148,8 +161,6 @@ class GradedSubspace:
         return [self.keys[i] for i in sorted(self._rows)]
 
     def to_json(self):
-        from .scalars import scalar_str
-
         return [
             [[list(key), scalar_str(c)] for key, c in row.items()]
             for row in self.basis()

@@ -264,25 +264,33 @@ def inverse_superization_series(q, n_max: int) -> MrElement:
     return MrElement(ring, S, terms, bound=n_max)
 
 
+def cleared_inverse_component(n: int):
+    """(c_n, c_n g_n) over Q(q): g_n is the degree-n part of the inverse
+    superization series, in the colored S basis, and c_n is the product of
+    (1 - q^(2i)) for i <= n, which clears every denominator of g_n."""
+    q = QQq.q
+    norm = QQq.one
+    for i in range(1, n + 1):
+        norm = norm * (QQq.one - q ** (2 * i))
+    terms = {}
+    for word in colored_compositions(n):
+        c = _inverse_coefficient(word, QQq, q)
+        if c:
+            terms[word] = c * norm
+    return norm, MrElement(QQq, S, terms)
+
+
 def klyachko_element(n: int, mode: str = "closed_form") -> MrElement:
     """The type-B q-Klyachko element of degree n over Q(q), in the colored
     ribbon basis.
 
-    ``closed_form`` normalizes the degree-n term of the inverse
-    superization series by the product of (1 - q^(2i)); ``ribbon_sum``
-    expands sum_J q^(flag major index of J) R_J directly.
+    ``closed_form`` is the degree-n term of the inverse superization series
+    with its denominators cleared (:func:`cleared_inverse_component`);
+    ``ribbon_sum`` expands sum_J q^(flag major index of J) R_J directly.
     """
     q = QQq.q
     if mode == "closed_form":
-        norm = QQq.one
-        for i in range(1, n + 1):
-            norm = norm * (QQq.one - q ** (2 * i))
-        terms = {}
-        for word in colored_compositions(n):
-            c = _inverse_coefficient(word, QQq, q)
-            if c:
-                terms[word] = c * norm
-        return convert(MrElement(QQq, S, terms), R)
+        return convert(cleared_inverse_component(n)[1], R)
     if mode == "ribbon_sum":
         terms = {jc: q ** flag_major_index(jc) for jc in colored_compositions(n)}
         return MrElement(QQq, R, terms)

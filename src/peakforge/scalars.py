@@ -508,7 +508,11 @@ class Cyclo(_FieldElement):
     Fields of degree 1 and 2 (r = 1, 2, 3, 4, 6) multiply in closed form and
     degree 2 also inverts in closed form; higher degrees convolve and reduce
     through the field's table of zeta powers.  Every other inverse is the
-    product of the other conjugates over the norm, all in integers."""
+    product of the other conjugates over the norm, all in integers.
+
+    Elimination in degree 1 and 2 does not come through here entry by
+    entry: :func:`cyclo_subtract_multiple` applies the same closed forms to
+    the integer vectors of whole sparse rows."""
 
     __slots__ = ("field", "vec", "den")
 
@@ -657,6 +661,67 @@ def _cyclo(field, vec, den):
     r.vec = vec
     r.den = den
     return r
+
+
+def cyclo_subtract_multiple(target: dict, c: Cyclo, row: dict):
+    """target -= c * row in place, for sparse vectors over a field of degree
+    1 or 2 with no zero entries, dropping the entries that cancel.
+
+    The elimination kernel of :class:`~peakforge.linalg.GradedSubspace`
+    over Q(zeta_r), r = 1, 2, 3, 4, 6.  An entry whose c, row and target
+    values all have denominator 1 is computed on the integer vectors, by
+    the closed forms of :meth:`Cyclo.__mul__`; any other goes through
+    ``Cyclo`` arithmetic.  Both give the same canonical values."""
+    field = c.field
+    integral = c.den == 1
+    if field.degree == 1:
+        (c0,) = c.vec
+        for j, rc in row.items():
+            t = target.get(j)
+            if integral and rc.den == 1 and (t is None or t.den == 1):
+                p = c0 * rc.vec[0]
+                if t is None:
+                    target[j] = _cyclo(field, (-p,), 1)
+                else:
+                    a = t.vec[0] - p
+                    if a:
+                        target[j] = _cyclo(field, (a,), 1)
+                    else:
+                        del target[j]
+            else:
+                _subtract_entry(target, j, t, c, rc)
+        return
+    m0, m1 = field.powers[2]  # x^2 = m0 + m1*x
+    c0, c1 = c.vec
+    for j, rc in row.items():
+        t = target.get(j)
+        if integral and rc.den == 1 and (t is None or t.den == 1):
+            b0, b1 = rc.vec
+            u = c1 * b1
+            p0 = c0 * b0 + m0 * u
+            p1 = c0 * b1 + c1 * b0 + m1 * u
+            if t is None:
+                target[j] = _cyclo(field, (-p0, -p1), 1)
+            else:
+                a0, a1 = t.vec
+                a0 -= p0
+                a1 -= p1
+                if a0 or a1:
+                    target[j] = _cyclo(field, (a0, a1), 1)
+                else:
+                    del target[j]
+        else:
+            _subtract_entry(target, j, t, c, rc)
+
+
+def _subtract_entry(target, j, t, c, rc):
+    """target[j] = t - c * rc in Cyclo arithmetic (t None for a missing
+    entry), dropping it if it cancels."""
+    newc = -(c * rc) if t is None else t - c * rc
+    if newc:
+        target[j] = newc
+    else:
+        del target[j]
 
 
 # --------------------------------------------------------------------------

@@ -132,6 +132,27 @@ def test_invert_sharp(capsys):
     assert code == 0 and data["ok"] is True
 
 
+def test_invert_sharp_fails_on_a_perturbed_coefficient(capsys, monkeypatch):
+    from peakforge import mr
+    from peakforge.scalars import QQq
+
+    cleared = mr.cleared_inverse_component
+    c3, g3 = cleared(3)
+    assert len(g3.terms) == 18
+    for word in sorted(g3.terms):
+        terms = dict(g3.terms)
+        terms[word] = terms[word] + QQq.q
+        perturbed = mr.MrElement(QQq, g3.basis, terms)
+        monkeypatch.setattr(
+            mr,
+            "cleared_inverse_component",
+            lambda n: (c3, perturbed) if n == 3 else cleared(n),
+        )
+        code, data = run_json(capsys, "invert-sharp", "--max-degree", "3")
+        assert code == 1 and data["ok"] is False, word
+        assert data["terms"] == 27
+
+
 def test_generators(capsys):
     code, data = run_json(capsys, "generators", "--max-degree", "2")
     assert code == 0
@@ -202,3 +223,18 @@ def test_misuse_is_a_usage_error(argv, capsys):
     assert [line for line in captured.err.splitlines() if "error:" in line] == [
         captured.err.splitlines()[-1]
     ]
+
+
+def test_readme_names_every_degree_cap():
+    from pathlib import Path
+
+    from peakforge.cli import CAPS
+
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("### Degree caps", 1)[1].split("\n#", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("|") and len(cells) == 3 and cells[2].isdigit():
+            rows[cells[1].strip("`")] = int(cells[2])
+    assert rows == CAPS

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peakforge import linalg
 from peakforge.linalg import GradedSubspace
-from peakforge.scalars import QQ, cyclotomic_field
+from peakforge.scalars import QQ, Cyclo, cyclotomic_field
 
 
 def _space(track=False):
@@ -154,6 +155,94 @@ def test_over_cyclotomic_field():
     assert not s.contains({"x": field.one, "y": field.one})
     s.insert({"x": field.one, "y": field.one})
     assert s.rank == 2
+
+
+def _reference_rref(field, vectors, n):
+    """Dense Gauss-Jordan elimination in plain Cyclo arithmetic: the rows
+    of the reduced echelon form, with unit pivots, sorted by pivot."""
+    rows = {}
+    for v in vectors:
+        x = [v.get(k, field.zero) for k in range(n)]
+        for p, row in rows.items():
+            if x[p]:
+                x = [a - x[p] * b for a, b in zip(x, row)]
+        pivot = next((k for k in range(n) if x[k]), None)
+        if pivot is None:
+            continue
+        inv = x[pivot].inverse()
+        x = [a * inv for a in x]
+        for p, row in rows.items():
+            if row[pivot]:
+                rows[p] = [a - row[pivot] * b for a, b in zip(row, x)]
+        rows[pivot] = x
+    return [rows[p] for p in sorted(rows)]
+
+
+@st.composite
+def _cyclo_vectors(draw):
+    """A cyclotomic field, some sparse vectors over it, and probe vectors:
+    combinations of the others and arbitrary ones.  Entries are units
+    +-zeta^k, which keep rows integral as the rank scans do, or small
+    vectors that may carry a denominator."""
+    field = cyclotomic_field(draw(st.sampled_from([1, 2, 3, 4, 6, 5])))
+    n = draw(st.integers(2, 6))
+    unit = st.builds(
+        lambda k, sign: sign * field.zeta**k,
+        st.integers(0, field.order - 1),
+        st.sampled_from([1, -1]),
+    )
+    general = st.builds(
+        lambda vec, den: Cyclo(field, vec, den),
+        st.tuples(*[st.integers(-2, 2)] * field.degree),
+        st.sampled_from([1, 1, 2, 3]),
+    )
+    entry = st.one_of(unit, general)
+    vector = st.dictionaries(st.integers(0, n - 1), entry, max_size=n)
+    vectors = draw(st.lists(vector, min_size=1, max_size=n + 1))
+    probes = draw(st.lists(vector, max_size=2))
+    for _ in range(2):
+        combo = {}
+        for v in vectors:
+            c = draw(entry)
+            for k, a in v.items():
+                combo[k] = combo.get(k, field.zero) + c * a
+        probes.append(combo)
+    return field, n, vectors, probes
+
+
+@settings(max_examples=120, deadline=None)
+@given(_cyclo_vectors())
+def test_cyclotomic_elimination_matches_reference(case):
+    """The span over Q(zeta_r) (integer-vector kernel for degree 1 and 2)
+    agrees with dense elimination in plain Cyclo arithmetic, and with the
+    generic kernel entry for entry."""
+    field, n, vectors, probes = case
+    keys = list(range(n))
+    span = GradedSubspace(field, keys, track=True)
+    generic = GradedSubspace(field, keys, track=True)
+    generic._subtract = linalg._subtract_multiple
+    for v in vectors:
+        assert span.insert(v) == generic.insert(v)
+    reference = _reference_rref(field, vectors, n)
+    assert span.rank == len(reference)
+    assert span.basis() == [
+        {k: a for k, a in zip(keys, row) if a} for row in reference
+    ]
+    for probe in probes:
+        member = _reference_rref(field, vectors + [probe], n) == reference
+        assert span.contains(probe) == member
+        coords = span.coordinates(probe)
+        assert coords == generic.coordinates(probe)
+        if not member:
+            assert coords is None
+            continue
+        total = {}
+        for label, c in coords.items():
+            for k, a in vectors[label].items():
+                total[k] = total.get(k, field.zero) + c * a
+        assert {k: a for k, a in total.items() if a} == {
+            k: a for k, a in probe.items() if a
+        }
 
 
 def test_to_json_is_deterministic():
