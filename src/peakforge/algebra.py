@@ -16,10 +16,11 @@ algebras supply.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import cache, partial
 from math import inf
 
-from .scalars import common_ring, ring_of, scalar_str
+from .scalars import _cleared_terms, common_ring, ring_of, scalar_str
 
 
 def merge_bounds(a, b):
@@ -252,24 +253,7 @@ def word_product(f: WordElement, g: WordElement):
     a, b = f.convert(S)._aligned(g.convert(S))
     bound = merge_bounds(a.bound, b.bound)
     limit = inf if bound is None else bound
-    deg = f.key_degree
-    right: dict = {}
-    for k2, c2 in b.terms.items():
-        right.setdefault(deg(k2), []).append((k2, c2))
-    terms: dict = {}
-    for k1, c1 in a.terms.items():
-        d1 = deg(k1)
-        for d2, pairs in right.items():
-            if d1 + d2 <= limit:
-                for k2, c2 in pairs:
-                    key = k1 + k2
-                    c = c1 * c2
-                    s = terms.get(key)
-                    s = c if s is None else s + c
-                    if s:
-                        terms[key] = s
-                    else:
-                        terms.pop(key, None)
+    terms = _over_integers(_concatenate, a.terms, b.terms, f.key_degree, limit)
     return type(f)(a.ring, S, terms, bound=bound).convert(f.basis)
 
 
@@ -314,7 +298,10 @@ def letterwise(f: WordElement, q, letter):
 # --------------------------------------------------------------------------
 # Sparse kernels on term dicts.  Each holds one accumulate-and-drop-zero
 # loop; the algebras supply only their key tables, whose entries are
-# (key, multiplier) pairs with the multiplier an int or a scalar.
+# (key, multiplier) pairs with the multiplier an int or a scalar.  The two
+# bilinear products, internal and concatenation, run on integers when both
+# operands are rational (see _over_integers): Fraction arithmetic would
+# take a gcd for every product and sum.
 
 
 def expand(terms: dict, table) -> dict:
@@ -369,8 +356,13 @@ def internal(u: dict, v: dict, structure, degree) -> dict:
     ``structure(I, J)`` gives the integer structure constants of I * J as
     (key, multiplicity) pairs; cross-degree products vanish, so ``v`` is
     grouped by ``degree`` once and only pairs of equal degree are
-    evaluated.
+    evaluated.  Rational coefficients are accumulated as integers (see
+    :func:`_over_integers`).
     """
+    return _over_integers(_internal, u, v, structure, degree)
+
+
+def _internal(u: dict, v: dict, structure, degree) -> dict:
     by_degree: dict = {}
     for J, cv in v.items():
         by_degree.setdefault(degree(J), []).append((J, cv))
@@ -386,6 +378,44 @@ def internal(u: dict, v: dict, structure, degree) -> dict:
                 else:
                     out.pop(K, None)
     return out
+
+
+def _concatenate(u: dict, v: dict, degree, limit) -> dict:
+    """Concatenation product of two term dicts, keeping the words of
+    degree at most ``limit``."""
+    right: dict = {}
+    for k2, c2 in v.items():
+        right.setdefault(degree(k2), []).append((k2, c2))
+    out: dict = {}
+    for k1, c1 in u.items():
+        d1 = degree(k1)
+        for d2, pairs in right.items():
+            if d1 + d2 <= limit:
+                for k2, c2 in pairs:
+                    key = k1 + k2
+                    c = c1 * c2
+                    s = out.get(key)
+                    s = c if s is None else s + c
+                    if s:
+                        out[key] = s
+                    else:
+                        out.pop(key, None)
+    return out
+
+
+def _over_integers(kernel, u: dict, v: dict, *args) -> dict:
+    """``kernel(u, v, *args)`` for a kernel bilinear in u and v.  When every
+    coefficient of both is rational, the kernel runs on integer multiples
+    U = Du*u and V = Dv*v, and each surviving sum is divided by Du*Dv once;
+    a sum cancels exactly where it does over Q, so the keys and their order
+    are the same."""
+    cleared_u = _cleared_terms(u)
+    cleared_v = cleared_u and _cleared_terms(v)
+    if not cleared_v:
+        return kernel(u, v, *args)
+    (iu, du), (iv, dv) = cleared_u, cleared_v
+    den = du * dv
+    return {k: Fraction(s, den) for k, s in kernel(iu, iv, *args).items()}
 
 
 def coarsenings(key: tuple, merge) -> tuple:
@@ -411,8 +441,8 @@ def internal_words(rows: tuple, cols: tuple, read) -> tuple:
 
     Each matrix with row sums ``rows`` and column sums ``cols`` contributes
     the word ``read(reading)`` of its column reading (see
-    :func:`column_reading_structure`).  Returns the sorted (word,
-    multiplicity) pairs.
+    :func:`column_reading_structure`); distinct matrices may read to the
+    same word.  Returns the sorted (word, multiplicity) pairs.
     """
     acc: dict = {}
     for reading, mult in column_reading_structure(rows, cols):
@@ -421,59 +451,42 @@ def internal_words(rows: tuple, cols: tuple, read) -> tuple:
     return tuple(sorted(acc.items()))
 
 
-def matrices_with_margins(rows: tuple[int, ...], cols: tuple[int, ...]):
-    """All nonnegative integer matrices with the given row and column sums,
-    yielded as tuples of row tuples."""
-    if sum(rows) != sum(cols):
-        return
-    if not rows:
-        if not any(cols):
-            yield ()
-        return
-
-    ncols = len(cols)
-
-    def rows_rec(r, remaining):
-        if r == len(rows) - 1:
-            if sum(remaining) == rows[r]:
-                yield (tuple(remaining),)
-            return
-        for row in bounded_rows(rows[r], remaining):
-            rest = tuple(remaining[i] - row[i] for i in range(ncols))
-            for tail in rows_rec(r + 1, rest):
-                yield (row,) + tail
-
-    def bounded_rows(total, caps):
-        # weak compositions of total with entries capped by caps
-        def rec(i, left):
-            if i == ncols - 1:
-                if left <= caps[i]:
-                    yield (left,)
-                return
-            hi = min(left, caps[i])
-            for v in range(hi + 1):
-                for tail in rec(i + 1, left - v):
-                    yield (v,) + tail
-
-        yield from rec(0, total)
-
-    yield from rows_rec(0, tuple(cols))
+@cache
+def _column_fills(total: int, caps: tuple) -> tuple:
+    """The ways to fill one column with entries summing to ``total``, entry
+    i at most ``caps[i]``: sorted (nonzero (row, value) entries, caps left)
+    pairs."""
+    fills = [((), (), total)]  # (entries, caps left, sum still to place)
+    for row, cap in enumerate(caps):
+        fills = [
+            (entries + ((row, v),) if v else entries, left + (cap - v,), rest - v)
+            for entries, left, rest in fills
+            for v in range(min(rest, cap) + 1)
+        ]
+    return tuple(sorted((entries, left) for entries, left, rest in fills if not rest))
 
 
 @cache
 def column_reading_structure(rows: tuple[int, ...], cols: tuple[int, ...]):
-    """Multiset of column readings of the matrices with the given margins.
+    """Column readings of the nonnegative integer matrices with row sums
+    ``rows`` and column sums ``cols``.
 
-    Each matrix is read column by column, top to bottom, recording its
-    nonzero entries as ``(row_index, value)`` pairs per column; the result
-    maps each reading to its multiplicity.  This is the integral core of
-    the degreewise internal product on products of complete functions.
+    A matrix is read column by column, top to bottom, recording its nonzero
+    entries as ``(row_index, value)`` pairs per column.  The matrices are
+    enumerated the same way: each column in turn takes every fill summing
+    to its column sum that the row sums still left allow, in sorted order,
+    so the readings come out sorted.  A reading determines its matrix, so
+    each is paired with multiplicity 1.  Returns the (reading, 1) pairs;
+    this is the integral core of the degreewise internal product on
+    products of complete functions.
     """
-    acc: dict = {}
-    for M in matrices_with_margins(rows, cols):
-        reading = tuple(
-            tuple((r, M[r][c]) for r in range(len(rows)) if M[r][c])
-            for c in range(len(cols))
-        )
-        acc[reading] = acc.get(reading, 0) + 1
-    return tuple(sorted(acc.items()))
+    if sum(rows) != sum(cols):
+        return ()
+    readings = [((), rows)]  # (columns read so far, row sums still left)
+    for total in cols:
+        readings = [
+            (reading + (fill,), left)
+            for reading, caps in readings
+            for fill, left in _column_fills(total, caps)
+        ]
+    return tuple((reading, 1) for reading, _ in readings)

@@ -16,7 +16,7 @@ it is the generic :func:`_subtract_multiple` in the field's own arithmetic.
 
 from __future__ import annotations
 
-from .scalars import CyclotomicField, cyclo_subtract_multiple, scalar_str
+from .scalars import Cyclo, CyclotomicField, cyclo_subtract_multiple, scalar_str
 
 
 def _subtract_multiple(target: dict, c, row: dict):
@@ -65,6 +65,9 @@ class GradedSubspace:
             self._subtract = cyclo_subtract_multiple
         else:
             self._subtract = _subtract_multiple
+        # entries of the field's own type skip coercion in _indexed: a
+        # Fraction over Q, a RatFunc over Q(q), a Cyclo of this very field
+        self._native = type(ring.one)
         # label -> its coordinate, numbered on from the ambient ones
         self._labels: dict | None = {} if track else None
         self._frozen = False
@@ -81,8 +84,10 @@ class GradedSubspace:
     def _indexed(self, vec) -> dict:
         out = {}
         ring = self.ring
-        for key, coeff in vec.items():
-            c = ring(coeff)
+        native = self._native
+        for key, c in vec.items():
+            if type(c) is not native or (native is Cyclo and c.field is not ring):
+                c = ring(c)
             if c:
                 try:
                     out[self._index[key]] = c

@@ -97,6 +97,16 @@ def _int_cleared(coeffs):
     return tuple(c.numerator * (m // c.denominator) for c in coeffs), m
 
 
+def _cleared_terms(terms: dict):
+    """Integer terms T and a positive integer m with terms = T/m, when every
+    value is an int or a Fraction; None otherwise."""
+    for c in terms.values():
+        if type(c) is not Fraction and type(c) is not int:
+            return None
+    m = lcm(*{c.denominator for c in terms.values()})
+    return {k: c.numerator * (m // c.denominator) for k, c in terms.items()}, m
+
+
 def _int_prem(a, b):
     """Pseudo-remainder of two integer polynomials (b nonzero)."""
     a = list(a)

@@ -1,0 +1,122 @@
+import itertools
+import random
+from fractions import Fraction
+
+from peakforge import algebra, mr, sym
+from peakforge.combinatorics import colored_compositions, compositions
+from peakforge.scalars import QQ, Cyclo, cyclotomic_field
+
+# ---- margin matrices
+
+
+def _brute_readings(rows, cols):
+    """Column readings of the matrices with the given margins, found by
+    trying every row whose entries are at most min(row sum, column sum)."""
+    if sum(rows) != sum(cols):
+        return ()
+    row_choices = [
+        [t for t in itertools.product(*(range(min(r, c) + 1) for c in cols)) if sum(t) == r]
+        for r in rows
+    ]
+    readings = []
+    for M in itertools.product(*row_choices):
+        if all(sum(row[c] for row in M) == cols[c] for c in range(len(cols))):
+            readings.append(
+                tuple(
+                    tuple((i, row[c]) for i, row in enumerate(M) if row[c])
+                    for c in range(len(cols))
+                )
+            )
+    return tuple(sorted(readings))
+
+
+def test_column_readings_match_brute_force():
+    for n in range(6):
+        for rows in compositions(n):
+            for cols in compositions(n):
+                got = algebra.column_reading_structure(rows, cols)
+                assert tuple(r for r, _ in got) == _brute_readings(rows, cols), (rows, cols)
+                assert got and all(mult == 1 for _, mult in got)
+
+
+def test_column_readings_edge_cases():
+    assert algebra.column_reading_structure((1, 2), (2,)) == ()
+    assert algebra.column_reading_structure((2,), ()) == ()
+    assert algebra.column_reading_structure((), ()) == (((), 1),)
+
+
+# ---- rational coefficients accumulated as integers
+
+
+def _random_element(cls, keys, rng):
+    terms = {k: Fraction(rng.randint(-6, 6), rng.randint(2, 6)) for k in rng.sample(keys, 5)}
+    return cls(QQ, "S", terms)
+
+
+def _via_generic_loop(op, f, g):
+    """op(f, g) computed over Q(zeta_1), whose Cyclo coefficients take the
+    generic loop, mapped back to Q."""
+    field = cyclotomic_field(1)
+    out = op(f.with_ring(field), g.with_ring(field))
+    assert out.ring is field
+    return {k: c.coeffs[0] for k, c in out.terms.items()}
+
+
+def _check_over_q(op, f, g):
+    out = op(f, g)
+    assert out.ring is QQ
+    assert all(type(c) is Fraction and c for c in out.terms.values())
+    assert out.terms == _via_generic_loop(op, f, g)
+    return out
+
+
+def test_rational_products_match_the_generic_loop():
+    rng = random.Random(8)
+    sym_keys = [I for n in range(1, 5) for I in compositions(n)]
+    mr_keys = [J for n in range(1, 4) for J in colored_compositions(n)]
+    for _ in range(15):
+        f, g = (_random_element(sym.SymElement, sym_keys, rng) for _ in range(2))
+        _check_over_q(sym.internal_product, f, g)
+        f, g = (_random_element(mr.MrElement, mr_keys, rng) for _ in range(2))
+        _check_over_q(mr.internal_product, f, g)
+        _check_over_q(mr.product, f, g)
+
+
+def test_rational_products_drop_cancelled_keys():
+    def S(key, c):
+        return sym.monomial(QQ, key, c)
+
+    # S11 * S11 = 2 S11 and S2 * S11 = S11, so S11 cancels
+    u = S((1, 1), Fraction(1, 2)) + S((2,), -1) + S((1, 2), Fraction(1, 5))
+    v = S((1, 1), 1) + S((3,), Fraction(1, 6))
+    assert _check_over_q(sym.internal_product, u, v) == S((1, 2), Fraction(1, 30))
+    # the same with integer coefficients, so that nothing is divided
+    u = S((1, 1), 1) + S((2,), -2) + S((1, 2), 1)
+    v = S((1, 1), 1) + S((3,), 1)
+    assert _check_over_q(sym.internal_product, u, v) == S((1, 2), 1)
+
+    def M(key, c):
+        return mr.monomial(QQ, key, c)
+
+    # (1/2 a + 1/3 aa)(aa - 3/2 a): the two aaa terms cancel
+    a = (1, 0)
+    u = M((a,), Fraction(1, 2)) + M((a, a), Fraction(1, 3))
+    v = M((a, a), 1) + M((a,), Fraction(-3, 2))
+    assert _check_over_q(mr.product, u, v) == M((a, a), Fraction(-3, 4)) + M(
+        (a, a, a, a), Fraction(1, 3)
+    )
+    # both terms of u give 1/6 S[1,-1] against v, with opposite signs
+    u = M(((2, 1),), Fraction(1, 2)) + M((a, a), Fraction(-1, 2))
+    v = M(((1, 1), a), Fraction(1, 3))
+    assert _check_over_q(mr.internal_product, u, v) == M(((1, 1), a), Fraction(-1, 6))
+
+
+def test_rational_times_cyclotomic_product():
+    field = cyclotomic_field(3)
+    f = sym.monomial(QQ, (1, 1), Fraction(1, 2)) + sym.monomial(QQ, (2,), Fraction(1, 3))
+    g = sym.monomial(field, (1, 1), field.zeta)
+    out = sym.internal_product(f, g)
+    assert out.ring is field
+    assert all(type(c) is Cyclo for c in out.terms.values())
+    assert out == sym.internal_product(f.with_ring(field), g)
+    assert out == sym.monomial(field, (1, 1), field.zeta * Fraction(4, 3))

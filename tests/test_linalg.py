@@ -61,6 +61,20 @@ def test_ring_mismatch_raises():
         s.insert({"a": QQq.q})
 
 
+def test_entries_of_another_cyclotomic_field_are_refused():
+    field = cyclotomic_field(3)
+    s = GradedSubspace(field, ["x", "y"])
+    with pytest.raises(TypeError):
+        s.insert({"x": cyclotomic_field(5).zeta})
+    with pytest.raises(TypeError):
+        s.contains({"x": field.one, "y": cyclotomic_field(5).one})
+    # an int or a Fraction entry is still coerced into the span's field
+    assert s.insert({"x": 2, "y": Fraction(1, 2)})
+    assert s.contains({"x": field(4), "y": 1})
+    assert s.basis() == [{"x": field.one, "y": field(Fraction(1, 4))}]
+    assert all(type(c) is Cyclo for row in s.basis() for c in row.values())
+
+
 def test_rows_are_fully_reduced_with_unit_pivots():
     s = _space()
     s.insert({"a": 2, "b": 4, "c": 2})
