@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .algebra import internal
+from .algebra import S, internal
 from .combinatorics import colored_compositions, compositions
 from .linalg import GradedSubspace
 from .scalars import QQ, QQq, cyclotomic_field
@@ -130,60 +130,74 @@ def conjectured_generator_count(n: int, r: int) -> int:
 # Subspace constructions
 
 
-def _image_span(n: int, r: int, keys, element, transform) -> GradedSubspace:
-    """Degree-n span of the images of the complete words ``keys`` under
-    ``transform`` at q = zeta_r, over Q(zeta_r); frozen, since the cached
-    builders share it with every caller."""
-    ring = cyclotomic_field(r)
+def _span(n: int, ring, keys, factors, lower) -> GradedSubspace:
+    """Degree-n span over ``ring`` = Q(zeta_r) of f * b for each (k, f) in
+    ``factors``, f of degree k, and each echelon row b of the degree-(n-k)
+    span ``lower(n - k, r)``; the span of 1 at degree 0.  Frozen, since the
+    cached builders share it with every caller."""
     space = GradedSubspace(ring, keys, degree=n)
-    for key in keys:
-        space.insert(transform(element.monomial(ring, key), ring.zeta).terms)
+    if not n:
+        space.insert({(): ring.one})
+        return space.freeze()
+    for k, f in factors:
+        for row in lower(n - k, ring.order).basis():
+            space.insert((f * type(f)(ring, S, row)).terms)
     return space.freeze()
 
 
-def _module_span(n: int, r: int, keys, image_span, letter) -> GradedSubspace:
-    """Degree-n span of the complete letter ``letter(k)`` times the
-    degree-(n-k) image span, for k from n down to 0; frozen like
-    :func:`_image_span`."""
-    space = GradedSubspace(cyclotomic_field(r), keys, degree=n)
-    for k in range(n, -1, -1):
-        prefix = (letter(k),) if k else ()
-        for row in image_span(n - k, r).basis():
-            space.insert({prefix + key: c for key, c in row.items()})
-    return space.freeze()
+def _letter_images(ring, n: int, element, transform, letters) -> list:
+    """(k, transform(x) at q = zeta_r) for the letters x of each size k,
+    k = 1..n in turn.
+
+    Both transforms are algebra maps, so the image of a word x.w is
+    transform(x) times the image of w: these factors times the image spans
+    of lower degree span the degree-n image.  Small letters go first: they
+    keep the echelon rows sparse while the span fills, where large letters
+    first leave dense partial rows to back-eliminate."""
+    return [
+        (k, transform(element.monomial(ring, (x,)), ring.zeta))
+        for k in range(1, n + 1)
+        for x in letters(k)
+    ]
 
 
 @cache
 def peak_subspace(n: int, r: int) -> GradedSubspace:
     """Degree-n span of the (1-q) images of the complete words, over
     Q(zeta_r)."""
-    return _image_span(
-        n, r, sorted(compositions(n)), sym.SymElement, sym.one_minus_q_transform
+    ring = cyclotomic_field(r)
+    images = _letter_images(
+        ring, n, sym.SymElement, sym.one_minus_q_transform, lambda k: (k,)
     )
+    return _span(n, ring, sorted(compositions(n)), images, peak_subspace)
 
 
 @cache
 def unital_peak_subspace(n: int, r: int) -> GradedSubspace:
     """Degree-n span of S_k times the degree-(n-k) peak subspace."""
-    return _module_span(n, r, sorted(compositions(n)), peak_subspace, lambda k: k)
+    ring = cyclotomic_field(r)
+    units = [(k, sym.monomial(ring, (k,) if k else ())) for k in range(n + 1)]
+    return _span(n, ring, sorted(compositions(n)), units, peak_subspace)
 
 
 @cache
 def mr_sharp_subspace(n: int, r: int) -> GradedSubspace:
     """Degree-n span of the q-superizations of the colored complete words,
     over Q(zeta_r)."""
-    return _image_span(
-        n, r, sorted(colored_compositions(n)), mr.MrElement, mr.superization
+    ring = cyclotomic_field(r)
+    images = _letter_images(
+        ring, n, mr.MrElement, mr.superization, lambda k: ((k, 0), (k, 1))
     )
+    return _span(n, ring, sorted(colored_compositions(n)), images, mr_sharp_subspace)
 
 
 @cache
 def mr_sharp_module_subspace(n: int, r: int) -> GradedSubspace:
     """Degree-n span of S_k (plain alphabet) times the degree-(n-k)
     superization image."""
-    return _module_span(
-        n, r, sorted(colored_compositions(n)), mr_sharp_subspace, lambda k: (k, 0)
-    )
+    ring = cyclotomic_field(r)
+    units = [(k, mr.monomial(ring, ((k, 0),) if k else ())) for k in range(n + 1)]
+    return _span(n, ring, sorted(colored_compositions(n)), units, mr_sharp_subspace)
 
 
 _BUILDERS = {

@@ -601,6 +601,8 @@ class Cyclo(_FieldElement):
 
     def __mul__(self, other):
         if type(other) is not Cyclo or other.field is not self.field:
+            if type(other) is int:
+                return self._times_int(other)
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
@@ -630,6 +632,19 @@ class Cyclo(_FieldElement):
         return Cyclo(field, out, den)
 
     __rmul__ = __mul__
+
+    def _times_int(self, m: int):
+        """self * m for an int m, without coercing m to the field; the
+        product needs the gcd pass only when its denominator is not 1."""
+        if m == 1:
+            return self
+        field = self.field
+        if not m:
+            return field.zero
+        vec = tuple([m * v for v in self.vec])
+        if self.den == 1:
+            return _cyclo(field, vec, 1)
+        return Cyclo(field, vec, self.den)
 
     def inverse(self):
         field = self.field

@@ -140,6 +140,39 @@ def test_mr_sharp_dimensions_small():
     assert [peak.mr_sharp_subspace(n, 4).rank for n in range(5)] == [1, 2, 5, 14, 38]
 
 
+def _image_of_every_word(n, r, keys, element, transform):
+    # reference: the definition, the span of the image of every complete
+    # word of degree n
+    ring = cyclotomic_field(r)
+    space = GradedSubspace(ring, keys, degree=n)
+    for key in keys:
+        space.insert(transform(element.monomial(ring, key), ring.zeta).terms)
+    return space
+
+
+@pytest.mark.parametrize(
+    "builder, element, transform, keys, r_max, n_max",
+    [
+        (peak.peak_subspace, sym.SymElement, sym.one_minus_q_transform,
+         compositions, 6, 6),
+        (peak.mr_sharp_subspace, mr.MrElement, mr.superization,
+         colored_compositions, 4, 5),
+    ],
+    ids=["peak", "mrsharp"],
+)
+def test_letter_recursion_spans_the_image_of_every_word(
+    builder, element, transform, keys, r_max, n_max
+):
+    # the builders span the image from the letter images times the lower
+    # degrees; r = 1 is the zero map above degree 0
+    for r in range(1, r_max + 1):
+        for n in range(n_max + 1):
+            reference = _image_of_every_word(
+                n, r, sorted(keys(n)), element, transform
+            )
+            assert builder(n, r).basis() == reference.basis(), (r, n)
+
+
 def test_mr_sharp_module_dimensions_small():
     # r = 2 realizes the type-B descent algebra dimensions 2^n
     assert [peak.mr_sharp_module_subspace(n, 2).rank for n in range(5)] == [

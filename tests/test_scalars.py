@@ -461,6 +461,28 @@ def test_cyclo_arithmetic_matches_polynomials_mod_phi(case):
         assert _canonical_cyclo(z)
 
 
+@pytest.mark.parametrize("r", range(1, 13))
+def test_cyclo_times_int_matches_the_coerced_product(r):
+    # an int multiplier skips coercion; the result must be the canonical
+    # value of the product by the field's own m, on both sides
+    field = cyclotomic_field(r)
+    degree = field.degree
+    elements = [
+        field.zeta,
+        Cyclo(field, [3 - 2 * i for i in range(degree)]),
+        Cyclo(field, [6] + [3] * (degree - 1), 9),  # den 3 once reduced
+        Cyclo(field, [1 + i for i in range(degree)], -10),
+        field.zero,
+    ]
+    for a in elements:
+        for m in (0, 1, -1, 2, -3, 5, 6, -9, 10, 30):
+            expected = field(m) * a
+            for got in (m * a, a * m):
+                assert got.field is field
+                assert (got.vec, got.den) == (expected.vec, expected.den)
+                assert _canonical_cyclo(got)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(-6, 6), min_size=1, max_size=6),
