@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import fqsym, mr, oracle, peak, sym
@@ -64,6 +65,14 @@ def _at_least(minimum: int):
         return value
 
     return integer
+
+
+def _report_path(text):
+    """An argparse type: a file path in an existing, writable directory."""
+    folder = os.path.dirname(text) or "."
+    if os.path.isdir(text) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise argparse.ArgumentTypeError(f"cannot write a report to {text!r}")
+    return text
 
 
 def _cap(args_value: int, key: str, what: str):
@@ -302,7 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "json"), default="table")
-    common.add_argument("--out", metavar="FILE", help="also write the JSON report here")
+    common.add_argument(
+        "--out", type=_report_path, metavar="FILE", help="also write the JSON report here"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .algebra import Element, internal, merge_bounds
 from .combinatorics import (
-    descent_positions,
+    hook_size,
     inverse,
     compose,
     left_right_minima,
@@ -146,11 +146,8 @@ def hook_evaluation(p, q):
     """The specialization F_p(1-q): (-q)^k when the descent set of p is
     {1, ..., k} (k = 0 for no descents), zero otherwise."""
     ring = ring_of(q)
-    descents = descent_positions(tuple(p))
-    k = len(descents)
-    if descents != tuple(range(1, k + 1)):
-        return ring(0)
-    return (-ring(q)) ** k
+    k = hook_size(tuple(p))
+    return ring(0) if k is None else (-ring(q)) ** k
 
 
 def complete_monomial_expansion(n: int, q) -> FqsymElement:

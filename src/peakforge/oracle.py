@@ -105,14 +105,12 @@ def descent_class_bn(n: int, comp, ring=QQ) -> GroupAlgebraElement:
 
 
 def sym_to_group(f, n: int) -> GroupAlgebraElement:
-    """Image of a degree-n element under ribbon -> exact descent class."""
+    """Image of a degree-n element under ribbon -> exact descent class: the
+    G expansion of :func:`sym.to_fqsym`, read in the group algebra."""
     ribbons = sym.convert(f, sym.R)
-    out = GroupAlgebraElement(ribbons.ring, SYMMETRIC, {})
-    for I, c in ribbons.terms.items():
-        if sum(I) != n:
-            raise ValueError("element is not homogeneous of the stated degree")
-        out = out + c * descent_class_sn(n, I, ribbons.ring)
-    return out
+    if any(sum(I) != n for I in ribbons.terms):
+        raise ValueError("element is not homogeneous of the stated degree")
+    return GroupAlgebraElement(ribbons.ring, SYMMETRIC, sym.to_fqsym(ribbons).terms)
 
 
 def _pair(I, J) -> str:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -209,8 +210,16 @@ def test_invalid_flags_rejected(capsys):
         ["hilbert", "--algebra", "peak", "--r", "2", "--max-degree", "-1"],
         ["klyachko", "--n", "-1"],
         ["hilbert", "--algebra", "peak", "--r", "2", "--max-degree", "9"],
+        ["generators", "--max-degree", "2", "--out", str(Path(__file__).parent)],
+        [
+            "generators", "--max-degree", "2",
+            "--out", str(Path(__file__).parent / "no-such-directory" / "report.json"),
+        ],
     ],
-    ids=["r-zero", "r-negative", "bad-composition", "negative-degree", "negative-n", "cap"],
+    ids=[
+        "r-zero", "r-negative", "bad-composition", "negative-degree", "negative-n", "cap",
+        "out-directory", "out-missing-directory",
+    ],
 )
 def test_misuse_is_a_usage_error(argv, capsys):
     # exit status 2 and one error line, never a traceback or a vacuous ok

@@ -84,6 +84,12 @@ def test_sym_to_group_is_linear_in_ribbons():
     }
 
 
+def test_sym_to_group_refuses_an_inhomogeneous_element():
+    f = sym.monomial(QQ, (2, 1), basis=sym.R) + sym.monomial(QQ, (2,), basis=sym.R)
+    with pytest.raises(ValueError):
+        oracle.sym_to_group(f, 3)
+
+
 def test_descent_antimorphism_small():
     for n in range(1, 5):
         ok, failures = oracle.verify_descent_antimorphism(n)

@@ -232,11 +232,69 @@ def test_bsym_closure_small():
 
 
 def test_generator_normalization():
-    for n in range(1, 4):
-        assert peak.generator_normalization_check(n)
-    for r in (2, 3):
-        for n in range(1, 4):
-            assert peak.generator_normalization_check(n, r)
+    for n in range(1, 7):
+        assert peak.generator_normalization_check(n), n
+    for r in range(1, 7):
+        for n in range(1, 7):
+            assert peak.generator_normalization_check(n, r), (r, n)
+
+
+def _lower_degree_span(ring, n):
+    """Reference: the degree-n span of the products of S_k +- S_k-bar over
+    the compositions of n with every part below n."""
+    span = GradedSubspace(ring, sorted(colored_compositions(n)), degree=n)
+    for comp in compositions(n):
+        if any(part >= n for part in comp):
+            continue
+        words = [mr.unit(ring)]
+        for part in comp:
+            words = [
+                mr.product(w, peak._plus_minus(ring, part, s))
+                for w in words
+                for s in (1, -1)
+            ]
+        for w in words:
+            span.insert(w.terms)
+    return span
+
+
+@pytest.mark.parametrize("r", [None, 2, 3, 4])
+def test_lower_degree_subalgebra_is_the_span_of_the_longer_words(r):
+    # the lemma behind generator_normalization_check: in degree n the
+    # subalgebra generated in lower degrees is every word but the letters
+    ring = QQq if r is None else cyclotomic_field(r)
+    for n in range(1, 6):
+        span = _lower_degree_span(ring, n)
+        assert span.rank == 2 * 3 ** (n - 1) - 2, (r, n)
+        assert set(span.pivot_keys()) == set(span.keys) - {((n, 0),), ((n, 1),)}
+        # every echelon row is the unit vector at its pivot: no row reaches
+        # the letter columns
+        for row, key in zip(span.basis(), span.pivot_keys()):
+            assert row == {key: ring.one}, (r, n, key)
+
+
+@pytest.mark.parametrize(
+    "word, ok",
+    [
+        (lambda n: ((n, 0),), False),
+        (lambda n: ((n, 1),), False),
+        (lambda n: ((1, 1), (n - 1, 0)), True),
+    ],
+    ids=["plain-letter", "barred-letter", "two-letter-word"],
+)
+@pytest.mark.parametrize("r", [None, 3])
+def test_generator_normalization_sees_a_letter_coefficient(monkeypatch, r, word, ok):
+    # a superization off by c times a word: the check must fail when the
+    # word is a letter of size n, and hold when it lies in the subalgebra
+    superization = mr.superization
+
+    def perturbed(f, q):
+        n = max(f.key_degree(key) for key in f.terms)
+        return superization(f, q) + mr.monomial(f.ring, word(n), 3)
+
+    monkeypatch.setattr(mr, "superization", perturbed)
+    for n in range(2, 5):
+        assert peak.generator_normalization_check(n, r) == ok, n
 
 
 def _specialized_terms(element, r):
