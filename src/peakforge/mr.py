@@ -19,7 +19,8 @@ the left acts through the bar involution.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
+from math import prod
 
 from . import algebra
 from .algebra import R, S, WordElement, expand, internal_words, word_product
@@ -30,7 +31,7 @@ from .combinatorics import (
     standardized_shape,
     barred_weight,
 )
-from .scalars import QQ, QQq, ring_of
+from .scalars import QQ, QQq, _int_mul, _ratfunc, ring_of
 from . import sym
 
 
@@ -223,30 +224,26 @@ def bsym_complete(comp, ring=QQ) -> MrElement:
 # Inverse of the generic superization, and type-B q-Klyachko elements
 
 
-def _inverse_coefficient(word, ring, q):
-    """Coefficient of a colored complete word in the inverse superization
-    series: the exact sum of q^(e_1 a_1 + ... + e_m a_m) over strictly
-    decreasing exponents e_1 > ... > e_m >= 0 with e_j of parity c_j.
+def _inverse_exponents(word):
+    """E and the partial sums W_1 < ... < W_m of the sizes of a colored
+    complete word, whose coefficient in the inverse superization series is
+    q^E / prod_j (1 - q^(2 W_j)).
 
-    The sum telescopes into nested geometric series; each level contributes
-    a factor 1 / (1 - q^(2 W)) with W a suffix sum of the sizes.
+    The coefficient is the sum of q^(e_1 a_1 + ... + e_m a_m) over strictly
+    decreasing exponents e_1 > ... > e_m >= 0 with e_j of parity c_j.  It
+    telescopes into nested geometric series, one factor 1 / (1 - q^(2 W_j))
+    per letter; the numerator exponents ending in each parity follow an
+    integer recursion.
     """
-    one = ring(1)
-    acc = {0: one, 1: one}
-    w_total = 0
-    q = ring(q)
+    e = [0, 0]
+    sums = []
+    w = 0
     for size, color in word:
-        prev_w = w_total
-        w_total += size
-        denom = one - q ** (2 * w_total)
-        if not denom:
-            raise ZeroDivisionError(
-                "inverse superization series is singular at this root of unity"
-            )
-        inner_parity = (color + 1) % 2
-        b = (q**prev_w) * acc[inner_parity] / denom
-        acc = {color: b, 1 - color: b * q**w_total}
-    return acc[0]
+        b = w + e[1 - color]
+        w += size
+        e[color], e[1 - color] = b, b + w
+        sums.append(w)
+    return e[0], sums
 
 
 def inverse_superization_series(q, n_max: int) -> MrElement:
@@ -255,10 +252,17 @@ def inverse_superization_series(q, n_max: int) -> MrElement:
     barred alphabet times sigma_{q^(2k)} on the plain one, with every
     infinite geometric sum evaluated exactly."""
     ring = ring_of(q)
+    q = ring(q)
+    factor = {i: ring(1) - q ** (2 * i) for i in range(1, n_max + 1)}
+    if not all(factor.values()):
+        raise ZeroDivisionError(
+            "inverse superization series is singular at this root of unity"
+        )
     terms: dict = {(): ring(1)}
     for n in range(1, n_max + 1):
         for word in colored_compositions(n):
-            c = _inverse_coefficient(word, ring, q)
+            e, sums = _inverse_exponents(word)
+            c = q**e / prod((factor[w] for w in sums), start=ring(1))
             if c:
                 terms[word] = c
     return MrElement(ring, S, terms, bound=n_max)
@@ -267,17 +271,22 @@ def inverse_superization_series(q, n_max: int) -> MrElement:
 def cleared_inverse_component(n: int):
     """(c_n, c_n g_n) over Q(q): g_n is the degree-n part of the inverse
     superization series, in the colored S basis, and c_n is the product of
-    (1 - q^(2i)) for i <= n, which clears every denominator of g_n."""
-    q = QQq.q
-    norm = QQq.one
-    for i in range(1, n + 1):
-        norm = norm * (QQq.one - q ** (2 * i))
+    (1 - q^(2i)) for i <= n, which clears every denominator of g_n.
+
+    The partial sums of a degree-n word are distinct and end at n, so its
+    coefficient in c_n g_n is q^E times the factors (1 - q^(2i)) of c_n
+    whose i is not a partial sum: an integer polynomial, built without
+    division."""
+    factor = {i: (1,) + (0,) * (2 * i - 1) + (-1,) for i in range(1, n + 1)}
     terms = {}
     for word in colored_compositions(n):
-        c = _inverse_coefficient(word, QQq, q)
-        if c:
-            terms[word] = c * norm
-    return norm, MrElement(QQq, S, terms)
+        e, sums = _inverse_exponents(word)
+        poly = (0,) * e + (1,)
+        for i in set(factor).difference(sums):
+            poly = _int_mul(poly, factor[i])
+        terms[word] = _ratfunc(poly, (1,))
+    norm = reduce(_int_mul, factor.values(), (1,))
+    return _ratfunc(norm, (1,)), MrElement(QQq, S, terms)
 
 
 def klyachko_element(n: int, mode: str = "closed_form") -> MrElement:

@@ -20,6 +20,7 @@ GOLDEN = Path(__file__).parent / "golden"
 INVOCATIONS = {
     "klyachko-n3": ["klyachko", "--n", "3", "--check"],
     "klyachko-n4": ["klyachko", "--n", "4"],
+    "klyachko-n5": ["klyachko", "--n", "5", "--check"],
     "bmaj-level2": ["bmaj", "--composition", "2,1,1,-3,-1,-2,4,-1,2,2"],
     "bmaj-colors3": ["bmaj", "--composition", "2~0,1~2,3~1", "--colors", "3"],
     "hilbert-peak-r3": ["hilbert", "--algebra", "peak", "--r", "3", "--max-degree", "5"],

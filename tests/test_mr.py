@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -352,9 +353,61 @@ def test_inverse_series_composes_to_sigma():
 
 
 def test_inverse_series_rejects_roots_of_unity():
-    field = cyclotomic_field(2)
-    with pytest.raises(ZeroDivisionError):
-        mr.inverse_superization_series(field.zeta, 2)
+    # 1 - zeta^(2i) vanishes first at i = r / gcd(r, 2), the order of zeta^2,
+    # and every i <= n_max is the size of a one-letter word
+    for r in range(2, 7):
+        field = cyclotomic_field(r)
+        first = r // math.gcd(r, 2)
+        for n_max in range(first + 2):
+            if n_max >= first:
+                with pytest.raises(ZeroDivisionError):
+                    mr.inverse_superization_series(field.zeta, n_max)
+            else:
+                g = mr.inverse_superization_series(field.zeta, n_max)
+                assert all(ring_of(c) is field for c in g.terms.values())
+
+
+def _int_poly_mul(a, b, top):
+    out = [0] * (top + 1)
+    for i, x in enumerate(a[: top + 1]):
+        for j, y in enumerate(b[: top + 1 - i]):
+            out[i + j] += x * y
+    return out
+
+
+def test_cleared_inverse_coefficients_match_the_defining_sum():
+    # the coefficient of a colored word in g is the sum of
+    # q^(e_1 a_1 + ... + e_m a_m) over e_1 > ... > e_m >= 0 with e_j of
+    # parity c_j; summed by brute force up to q^top, times c_n
+    top = 14
+    for n in range(1, 5):
+        c_n = [1]
+        for i in range(1, n + 1):
+            c_n = _int_poly_mul(c_n, [1] + [0] * (2 * i - 1) + [-1], top)
+        cleared = mr.cleared_inverse_component(n)[1]
+        assert set(cleared.terms) == set(colored_compositions(n))
+        for word in colored_compositions(n):
+            series = [0] * (top + 1)
+            for exps in itertools.combinations(range(top, -1, -1), len(word)):
+                if all(e % 2 == c for e, (_, c) in zip(exps, word)):
+                    degree = sum(e * a for e, (a, _) in zip(exps, word))
+                    if degree <= top:
+                        series[degree] += 1
+            coeff = cleared.coefficient(word)
+            assert coeff.den == (1,)
+            got = list(coeff.num[: top + 1]) + [0] * (top + 1 - len(coeff.num))
+            assert got == _int_poly_mul(c_n, series, top), word
+
+
+def test_cleared_inverse_component_is_the_scaled_series():
+    q = QQq.q
+    g = mr.inverse_superization_series(q, 6)
+    for n in range(7):
+        c_n, cleared = mr.cleared_inverse_component(n)
+        assert set(cleared.terms) == set(g.homogeneous(n).terms)
+        for word, coeff in cleared.terms.items():
+            assert coeff.den == (1,)
+            assert coeff == c_n * g.coefficient(word)
 
 
 K2_EXPECTED = {
