@@ -418,6 +418,14 @@ def _over_integers(kernel, u: dict, v: dict, *args) -> dict:
     return {k: Fraction(s, den) for k, s in kernel(iu, iv, *args).items()}
 
 
+def by_coefficient(terms: dict) -> dict:
+    """Coefficient -> the keys that carry it, in the order of ``terms``."""
+    out: dict = {}
+    for key, c in terms.items():
+        out.setdefault(c, []).append(key)
+    return out
+
+
 def coarsenings(key: tuple, merge) -> tuple:
     """All ways to merge adjacent letters of a word, each with its number
     of merges.  ``merge(a, b)`` is the merged letter, or None where a and b

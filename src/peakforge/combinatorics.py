@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from functools import cache
+from types import MappingProxyType
 
 # --------------------------------------------------------------------------
 # Compositions
@@ -187,12 +188,13 @@ def lex_min_permutation(comp: tuple[int, ...]):
 
 
 @cache
-def permutations_by_descent(n: int) -> dict:
-    """Permutations of 1..n grouped by descent composition."""
+def permutations_by_descent(n: int) -> MappingProxyType:
+    """Permutations of 1..n grouped by descent composition, as a read-only
+    mapping: the table is cached and shared by every caller."""
     groups: dict = {I: [] for I in compositions(n)}
     for p in permutations(n):
         groups[descent_composition(p)].append(p)
-    return {I: tuple(ps) for I, ps in groups.items()}
+    return MappingProxyType({I: tuple(ps) for I, ps in groups.items()})
 
 
 # ---- weak order -----------------------------------------------------------
@@ -242,9 +244,22 @@ def weak_order_ideal(perm) -> frozenset:
 
 
 @cache
-def weak_order_lower_masks(n: int) -> dict:
-    """Permutation -> inversion bitmask table for one degree (cached)."""
-    return {p: inversion_mask(p) for p in permutations(n)}
+def inverse_inversion_masks(n: int) -> MappingProxyType:
+    """Permutation sigma -> :func:`inversion_mask` of its inverse, for one
+    degree, as a read-only mapping (the table is cached and shared).
+
+    Bit (a, b), a < b, is set iff sigma(a) > sigma(b), so u lies in the weak
+    order ideal of the inverse of sigma iff the mask of the inverse of u is
+    contained in the mask of sigma.
+
+    >>> inverse_inversion_masks(3)[(2, 3, 1)] == inversion_mask((3, 1, 2))
+    True
+    """
+    pairs = [(a, b) for b in range(1, n) for a in range(b)]
+    bits = [(1 << i, a, b) for i, (a, b) in enumerate(pairs)]
+    return MappingProxyType(
+        {s: sum([bit for bit, a, b in bits if s[a] > s[b]]) for s in permutations(n)}
+    )
 
 
 # --------------------------------------------------------------------------

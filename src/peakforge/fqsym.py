@@ -3,23 +3,26 @@
 Keys are permutations (one-line words).  F_sigma = G_{sigma inverse}; the
 degreewise internal product is composition of permutations on the F basis.
 The monomial basis is pinned by the 0-1 transition G_pi = sum of M_sigma
-over sigma with pi below the inverse of sigma in right weak order; its
-inverse is computed by ascending-length elimination.  Only the internal
-(degreewise) product is implemented; the outer shifted-shuffle product is
-out of scope here.
+over sigma with pi below the inverse of sigma in right weak order.  Both
+directions read one cached table per degree, sigma -> the inversion mask of
+sigma inverse.  G -> M counts, for each sigma, how many terms of each
+coefficient lie below the inverse of sigma, with a few bit-table reads per
+sigma (see :func:`g_to_m`); M -> G is ascending-length elimination.  Only
+the internal (degreewise) product is implemented; the outer shifted-shuffle
+product is out of scope here.
 """
 
 from __future__ import annotations
 
-from .algebra import Element, internal, merge_bounds
+from .algebra import Element, by_coefficient, internal, merge_bounds
 from .combinatorics import (
     hook_size,
     inverse,
+    inverse_inversion_masks,
     compose,
     left_right_minima,
     permutations,
     weak_order_ideal,
-    weak_order_lower_masks,
 )
 from .scalars import ring_of
 
@@ -57,27 +60,73 @@ def f_to_g(f: FqsymElement) -> FqsymElement:
     return _invert_keys(f, G)
 
 
+def _by_degree(terms: dict) -> dict:
+    out: dict = {}
+    for p, c in terms.items():
+        out.setdefault(len(p), {})[p] = c
+    return out
+
+
+def _class_sum(counts, classes):
+    """Sum of count times coefficient over the classes; None when every
+    count is zero."""
+    total = None
+    for k, (_, c) in zip(counts, classes):
+        if k:
+            term = c if k == 1 else k * c
+            total = term if total is None else total + term
+    return total
+
+
 def g_to_m(f: FqsymElement) -> FqsymElement:
     """Expand a G-basis element over the monomial basis.
 
     The coefficient of M_sigma is the sum of the G coefficients over the
-    weak-order ideal of the inverse of sigma.
+    weak-order ideal of the inverse of sigma.  In each degree the G terms
+    are grouped by coefficient, each term one bit of an integer, the terms
+    of one coefficient on adjacent bits.  ``above[j]`` holds the terms with
+    inversion j; OR tables over 8-bit chunks of a mask give the terms having
+    some inversion in the chunk.  The terms outside the ideal of sigma
+    inverse are those having an inversion it lacks, a few table reads; each
+    class is counted by one ``bit_count``, and the coefficient, the sum of
+    count times coefficient, is computed once per distinct count vector.
     """
     if f.basis != G:
         raise ValueError("expected a G-basis element")
     out: dict = {}
-    by_degree: dict = {}
-    for p, c in f.terms.items():
-        by_degree.setdefault(len(p), {})[p] = c
-    for n, terms in by_degree.items():
-        masks = weak_order_lower_masks(n)
-        items = [(masks[p], c) for p, c in terms.items()]
+    for n, terms in _by_degree(f.terms).items():
+        masks = inverse_inversion_masks(n)
+        size = n * (n - 1) // 2
+        classes = []  # (bits of the class's terms, coefficient)
+        rows = []  # each term's inversion mask in binary, term 0 first
+        start = 0
+        for c, keys in by_coefficient(terms).items():
+            rows.extend(format(masks[inverse(p)], f"0{size}b") for p in keys)
+            classes.append((((1 << len(keys)) - 1) << start, c))
+            start += len(keys)
+        # transpose: column j of the rows, read bottom-up as a binary
+        # number, holds the terms with inversion size - 1 - j
+        above = [int("".join(col), 2) for col in zip(*reversed(rows))][::-1]
+        tables = []
+        for low in range(0, size, 8):
+            chunk = above[low : low + 8]
+            table = [0]
+            for bit in chunk:
+                table += [t | bit for t in table]
+            tables.append(table)
+        everything, full = (1 << start) - 1, (1 << size) - 1
+        sums: dict = {}
         for sigma in permutations(n):
-            m = masks[inverse(sigma)]
-            total = None
-            for pm, c in items:
-                if pm | m == m:
-                    total = c if total is None else total + c
+            lacks = masks[sigma] ^ full
+            outside = 0
+            for table in tables:
+                outside |= table[lacks & 255]
+                lacks >>= 8
+            below = everything ^ outside
+            counts = tuple([(below & bits).bit_count() for bits, _ in classes])
+            if counts not in sums:
+                sums[counts] = _class_sum(counts, classes)
+            total = sums[counts]
             if total:
                 out[sigma] = total
     return FqsymElement(f.ring, M, out, bound=f.bound)
@@ -89,21 +138,22 @@ def m_to_g(f: FqsymElement) -> FqsymElement:
     if f.basis != M:
         raise ValueError("expected an M-basis element")
     out: dict = {}
-    by_degree: dict = {}
-    for p, c in f.terms.items():
-        by_degree.setdefault(len(p), {})[p] = c
-    for n, terms in by_degree.items():
-        masks = weak_order_lower_masks(n)
-        order = sorted(permutations(n), key=lambda p: bin(masks[p]).count("1"))
-        known: list = []  # (mask, rho, coeff) with coeff nonzero
-        for rho in order:
-            m = masks[rho]
-            total = terms.get(inverse(rho))
-            for pm, _, c in known:
+    for n, terms in _by_degree(f.terms).items():
+        masks = inverse_inversion_masks(n)
+        # (mask of rho, rho, rho inverse), rho in lexicographic order
+        rows = []
+        for rho in permutations(n):
+            sigma = inverse(rho)
+            rows.append((masks[sigma], rho, sigma))
+        rows.sort(key=lambda row: row[0].bit_count())
+        known: list = []  # (mask, coeff) with coeff nonzero
+        for m, rho, sigma in rows:
+            total = terms.get(sigma)
+            for pm, c in known:
                 if pm | m == m:
                     total = -c if total is None else total - c
             if total:
-                known.append((m, rho, total))
+                known.append((m, total))
                 out[rho] = total
     return FqsymElement(f.ring, G, out, bound=f.bound)
 

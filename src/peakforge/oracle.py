@@ -13,7 +13,7 @@ from collections import Counter
 from itertools import chain
 from operator import itemgetter
 
-from .algebra import Element
+from .algebra import Element, _over_integers, by_coefficient
 from .combinatorics import (
     descent_set,
     format_composition,
@@ -23,7 +23,7 @@ from .combinatorics import (
     type_b_compositions,
 )
 from .linalg import GradedSubspace
-from .scalars import QQ, common_ring
+from .scalars import QQ
 from . import mr
 from . import sym
 
@@ -52,25 +52,22 @@ def group_product(f: GroupAlgebraElement, g: GroupAlgebraElement) -> GroupAlgebr
         raise ValueError("group mismatch")
     if f.terms and g.terms and len({len(w) for w in chain(f.terms, g.terms)}) > 1:
         raise ValueError("degree mismatch in group product")
-    ring = common_ring(f.ring, g.ring)
-    # count the compositions of each pair of coefficient classes in int,
-    # then scale once per resulting element
+    a, b = f._aligned(g)
+    out = _over_integers(_compositions, a.terms, b.terms)
+    return GroupAlgebraElement(a.ring, f.group, out)
+
+
+def _compositions(u: dict, v: dict) -> dict:
+    """The bilinear composition kernel: count the compositions of each pair
+    of coefficient classes, then scale once per resulting element."""
     out: dict = {}
-    right = _by_coefficient(g.terms)
-    for cu, us in _by_coefficient(f.terms).items():
+    right = by_coefficient(v)
+    for cu, us in by_coefficient(u).items():
         for cv, vs in right.items():
-            c = ring(cu) * ring(cv)
+            c = cu * cv
             for key, n in _count_compositions(us, vs).items():
                 s = out.get(key)
                 out[key] = n * c if s is None else s + n * c
-    return GroupAlgebraElement(ring, f.group, {k: c for k, c in out.items() if c})
-
-
-def _by_coefficient(terms: dict) -> dict:
-    """Coefficient -> the keys that carry it."""
-    out: dict = {}
-    for key, c in terms.items():
-        out.setdefault(c, []).append(key)
     return out
 
 

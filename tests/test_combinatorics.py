@@ -247,6 +247,15 @@ def test_weak_order_ideal_downward_closed():
             assert weak_order_ideal(u) <= ideal
 
 
+def test_cached_tables_are_read_only():
+    with pytest.raises(TypeError):
+        comb.permutations_by_descent(3)[(3,)] = ()
+    with pytest.raises(TypeError):
+        comb.inverse_inversion_masks(2)[(2, 1)] = 0
+    assert comb.permutations_by_descent(3)[(3,)] == ((1, 2, 3),)
+    assert comb.inverse_inversion_masks(2)[(2, 1)] == 1
+
+
 # ---- parsing and formatting
 
 

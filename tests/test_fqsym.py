@@ -5,12 +5,14 @@ from fractions import Fraction
 from peakforge import fqsym, sym
 from peakforge.combinatorics import (
     inverse,
+    inverse_inversion_masks,
+    inversion_mask,
     left_right_minima,
     permutations,
     weak_order_ideal,
     weak_order_leq,
 )
-from peakforge.scalars import QQ, QQq
+from peakforge.scalars import QQ, QQq, cyclotomic_field
 
 
 def G(p, coeff=1, ring=QQ):
@@ -88,13 +90,76 @@ def test_m_basis_degree_2():
 
 def test_m_conversion_round_trip():
     rng = random.Random(3)
-    for n in range(1, 6):
+    # small supports in each degree, then larger ones at degree 5
+    for n, size in [(1, 1), (2, 2), (3, 6), (4, 6), (5, 6), (5, 40), (5, 120)]:
         perms = list(permutations(n))
-        terms = {p: Fraction(rng.randint(-2, 2)) for p in rng.sample(perms, min(6, len(perms)))}
+        terms = {p: Fraction(rng.randint(-2, 2)) for p in rng.sample(perms, size)}
         f = fqsym.FqsymElement(QQ, fqsym.G, terms)
         assert fqsym.m_to_g(fqsym.g_to_m(f)) == f
         g = fqsym.FqsymElement(QQ, fqsym.M, terms)
         assert fqsym.g_to_m(fqsym.m_to_g(g)) == g
+
+
+def _g_to_m_by_definition(f):
+    """The M coefficient of sigma is the sum of the G coefficients over the
+    weak-order ideal of the inverse of sigma; degrees in order of first
+    appearance, sigma in lexicographic order."""
+    out = {}
+    for n in dict.fromkeys(len(p) for p in f.terms):
+        for sigma in permutations(n):
+            total = f.ring(0)
+            for tau in weak_order_ideal(inverse(sigma)):
+                if tau in f.terms:
+                    total = total + f.terms[tau]
+            if total:
+                out[sigma] = total
+    return out
+
+
+def _g_to_m_cases():
+    rng = random.Random(12)
+    q = QQq.q
+    zeta = cyclotomic_field(3).zeta
+    pools = {
+        QQ: [QQ(1), QQ(-1), QQ(2), QQ(Fraction(1, 2)), QQ(Fraction(-1, 2))],
+        QQq: [q, -q, QQq.one - q, q - QQq.one, QQq.one / (QQq.one - q ** 2)],
+        zeta.field: [zeta, -zeta, zeta + 1, -zeta - 1, zeta * zeta],
+    }
+    for ring, pool in pools.items():
+        # random support and coefficients (opposite pairs cancel), one
+        # degree at a time and mixed
+        for degrees in ([1], [2], [3], [4], [5], [5, 2, 0], [3, 4, 1]):
+            for _ in range(3):
+                terms = {}
+                for n in degrees:
+                    perms = list(permutations(n))
+                    for p in rng.sample(perms, rng.randint(1, len(perms))):
+                        terms[p] = rng.choice(pool)
+                yield fqsym.FqsymElement(ring, fqsym.G, terms)
+        # a single coefficient class, and every permutation of degree 4
+        yield fqsym.FqsymElement(
+            ring, fqsym.G, {p: pool[2] for p in permutations(4)}
+        )
+        yield fqsym.FqsymElement(ring, fqsym.G, {})
+
+
+def test_g_to_m_matches_the_weak_order_definition():
+    for f in _g_to_m_cases():
+        got = fqsym.g_to_m(f)
+        expected = _g_to_m_by_definition(f)
+        assert got.ring is f.ring and got.basis == fqsym.M
+        assert got.terms == expected
+        assert list(got.terms) == list(expected)
+    # the sum cancels on M_21
+    assert fqsym.g_to_m(G((1, 2)) - G((2, 1))).terms == {(1, 2): QQ(1)}
+
+
+def test_inverse_inversion_masks_orientation():
+    for n in range(7):
+        table = inverse_inversion_masks(n)
+        assert list(table) == list(permutations(n))
+        for sigma, mask in table.items():
+            assert mask == inversion_mask(inverse(sigma))
 
 
 def test_sum_of_monomials_is_complete_image():

@@ -12,7 +12,7 @@ from peakforge.combinatorics import (
     signed_permutations,
     type_b_compositions,
 )
-from peakforge.scalars import QQ
+from peakforge.scalars import QQ, cyclotomic_field
 
 
 def test_group_product_identity_and_involution():
@@ -167,6 +167,30 @@ def test_group_product_matches_a_nested_loop(group):
                     expected[w] = expected.get(w, 0) + cu * cv
             expected = {w: c for w, c in expected.items() if c}
             assert oracle.group_product(f, g).terms == expected
+
+
+def test_group_product_over_a_cyclotomic_field():
+    # the non-rational path, with one factor over Q coerced to Q(zeta_3)
+    rng = random.Random(3)
+    field = cyclotomic_field(3)
+    zeta = field.zeta
+    coeffs = [zeta, -zeta, zeta + 1, -zeta - 1, field(2)]
+    keys = sorted(permutations(3))
+    for _ in range(10):
+        f = oracle.GroupAlgebraElement(
+            field, oracle.SYMMETRIC, {w: rng.choice(coeffs) for w in rng.sample(keys, 4)}
+        )
+        g = oracle.GroupAlgebraElement(
+            QQ, oracle.SYMMETRIC, {w: QQ(rng.choice([1, -1, 2])) for w in rng.sample(keys, 4)}
+        )
+        expected = {}
+        for u, cu in f.terms.items():
+            for v, cv in g.terms.items():
+                w = compose(u, v)
+                expected[w] = expected.get(w, field(0)) + cu * cv
+        expected = {w: c for w, c in expected.items() if c}
+        prod = oracle.group_product(f, g)
+        assert prod.ring is field and prod.terms == expected
 
 
 def test_group_product_degree_mismatch_raises():
