@@ -444,18 +444,34 @@ def coarsenings(key: tuple, merge) -> tuple:
     return tuple(out)
 
 
-def internal_words(rows: tuple, cols: tuple, read) -> tuple:
-    """Structure constants of the internal product of two complete words.
+def peeled_structure(left: tuple, right: tuple, structure, sizes, read) -> tuple:
+    """Sorted (word, multiplicity) structure constants of the internal
+    product of two complete words, by peeling the first letter of ``left``.
 
-    Each matrix with row sums ``rows`` and column sums ``cols`` contributes
-    the word ``read(reading)`` of its column reading (see
-    :func:`column_reading_structure`); distinct matrices may read to the
-    same word.  Returns the sorted (word, multiplicity) pairs.
+    In a margin matrix (see :func:`column_reading_structure`) the first
+    left letter fills the first column; the other columns are a matrix of
+    the rest of ``left`` against what the fill leaves of ``right``, less
+    the letters that reach zero.  So each fill contributes its head word
+    followed by each word of ``structure(rest of left, rest of right)``.
+    The algebra's letter table gives ``sizes(word)`` and ``read(a, b, v)``:
+    the letter an entry v reads where left letter a meets right letter b,
+    and b less v.
     """
+    if not left:
+        return () if right else (((), 1),)
+    a = left[0]
     acc: dict = {}
-    for reading, mult in column_reading_structure(rows, cols):
-        word = read(reading)
-        acc[word] = acc.get(word, 0) + mult
+    for entries, caps in _column_fills(sizes(left)[0], sizes(right)):
+        head = []
+        rest = list(right)
+        for row, v in entries:
+            letter, rest[row] = read(a, right[row], v)
+            head.append(letter)
+        head = tuple(head)
+        rest = tuple(b for b, cap in zip(rest, caps) if cap)
+        for word, mult in structure(left[1:], rest):
+            word = head + word
+            acc[word] = acc.get(word, 0) + mult
     return tuple(sorted(acc.items()))
 
 

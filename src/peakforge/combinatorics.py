@@ -108,12 +108,19 @@ def descent_positions(perm) -> tuple[int, ...]:
 
 
 def descent_composition(perm) -> tuple[int, ...]:
-    """The composition of n recording the descent set of a permutation.
+    """The composition of n recording the descent set of a permutation,
+    read off in one scan.
 
     >>> descent_composition((4, 6, 7, 3, 5, 1, 8, 2))
     (3, 2, 2, 1)
     """
-    return composition_from_descents(descent_positions(perm), len(perm))
+    n = len(perm)
+    parts, start = [], 0
+    for i in range(1, n):
+        if perm[i - 1] > perm[i]:
+            parts.append(i - start)
+            start = i
+    return (*parts, n - start) if n else ()
 
 
 def standardize(word):

@@ -9,14 +9,16 @@ and the stored basis is canonical.
 
 Every elimination step is one ``target -= c * row``.  A span picks its
 kernel for that step once, from its ring: over Q(zeta_r) of degree 1 or 2
-(r = 1, 2, 3, 4, 6) it is :func:`~peakforge.scalars.cyclo_subtract_multiple`,
-which works on the integer vectors of the entries; over every other field
-it is the generic :func:`_subtract_multiple` in the field's own arithmetic.
+(r = 1, 2, 3, 4, 6), and over Q held as Q(zeta_1), it is
+:func:`~peakforge.scalars.cyclo_subtract_multiple`, which works on the
+integer vectors of the entries; over Q(q) and the cyclotomic fields of
+degree 3 or more it is the generic :func:`_subtract_multiple`.
 """
 
 from __future__ import annotations
 
-from .scalars import Cyclo, CyclotomicField, cyclo_subtract_multiple, scalar_str
+from .scalars import QQ, Cyclo, CyclotomicField, cyclo_subtract_multiple
+from .scalars import cyclotomic_field, scalar_str
 
 
 def _subtract_multiple(target: dict, c, row: dict):
@@ -61,13 +63,17 @@ class GradedSubspace:
                 raise ValueError(f"duplicate ambient key {k!r}")
             self._index[k] = i
         self._rows: dict[int, dict] = {}
-        if isinstance(ring, CyclotomicField) and ring.degree <= 2:
+        # the field the rows are stored in: Q is held as Q(zeta_1)
+        self._field = field = cyclotomic_field(1) if ring is QQ else ring
+        if isinstance(field, CyclotomicField) and field.degree <= 2:
             self._subtract = cyclo_subtract_multiple
         else:
             self._subtract = _subtract_multiple
         # entries of the field's own type skip coercion in _indexed: a
-        # Fraction over Q, a RatFunc over Q(q), a Cyclo of this very field
-        self._native = type(ring.one)
+        # RatFunc over Q(q), a Cyclo of this very field; over Q the rest go
+        # through QQ first, which refuses every Cyclo
+        self._native = type(field.one)
+        self._coerce = (lambda c: field(QQ(c))) if ring is QQ else ring
         # label -> its coordinate, numbered on from the ambient ones
         self._labels: dict | None = {} if track else None
         self._frozen = False
@@ -85,9 +91,10 @@ class GradedSubspace:
         out = {}
         ring = self.ring
         native = self._native
+        coerce = self._coerce
         for key, c in vec.items():
             if type(c) is not native or (native is Cyclo and c.field is not ring):
-                c = ring(c)
+                c = coerce(c)
             if c:
                 try:
                     out[self._index[key]] = c
@@ -120,13 +127,13 @@ class GradedSubspace:
             if label is None:
                 label = len(self._labels)
             column = self._labels.setdefault(label, len(self.keys) + len(self._labels))
-            v[column] = self.ring(1)
+            v[column] = self._field.one
         pivot = self._reduce(v)
         if pivot is None:
             return False
-        inv = self.ring(1) / v[pivot]
+        inv = self._field.one / v[pivot]
         row = {j: c * inv for j, c in v.items()}
-        row[pivot] = self.ring(1)
+        row[pivot] = self._field.one
         # back-eliminate the new pivot from the existing rows
         for other in self._rows.values():
             c = other.get(pivot)
@@ -150,17 +157,22 @@ class GradedSubspace:
         # numbered in insertion order
         labels = list(self._labels)
         n = len(self.keys)
-        return {labels[j - n]: -c for j, c in v.items()}
+        return {labels[j - n]: self._value(-c) for j, c in v.items()}
 
     def basis(self):
         """Echelon rows as key-indexed dicts in ambient key order, sorted by
         pivot."""
         n = len(self.keys)
         out = []
+        value = self._value
         for pivot in sorted(self._rows):
             row = self._rows[pivot]
-            out.append({self.keys[j]: c for j, c in sorted(row.items()) if j < n})
+            out.append({self.keys[j]: value(c) for j, c in sorted(row.items()) if j < n})
         return out
+
+    def _value(self, c):
+        """A stored entry as a value of the span's ring: a Fraction over Q."""
+        return c.coeffs[0] if self.ring is QQ else c
 
     def pivot_keys(self):
         return [self.keys[i] for i in sorted(self._rows)]

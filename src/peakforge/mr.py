@@ -12,7 +12,7 @@ bar involution flips every color.  Two bases are carried:
   classical ribbon transition and is validated against the expansion of
   the type-B q-Klyachko elements (see the tests).
 
-The internal product is computed from the splitting recursion exactly as
+The internal product follows the splitting recursion letter by letter as
 in :mod:`peakforge.sym`, with colors transported along: a color-1 letter on
 the left acts through the bar involution.
 """
@@ -23,13 +23,14 @@ from functools import cache, lru_cache, reduce
 from math import prod
 
 from . import algebra
-from .algebra import R, S, WordElement, expand, internal_words, word_product
+from .algebra import R, S, WordElement, expand, peeled_structure, word_product
 from .combinatorics import (
     colored_compositions,
     colored_weight,
     flag_major_index,
     standardized_shape,
     barred_weight,
+    underlying_composition,
 )
 from .scalars import QQ, QQq, _int_mul, _ratfunc, ring_of
 from . import sym
@@ -53,28 +54,22 @@ def _split(letter):
     )
 
 
+def _read_entry(a, b, v):
+    return (v, a[1] ^ b[1]), (b[0] - v, b[1])
+
+
 @cache
 def internal_structure(left, right):
     """Integer structure constants of the internal product of two colored
     complete words, in the colored S basis.
 
     The underlying sizes pair through margin matrices as in Sym; a color-1
-    letter of the left word bars the column it extracts, so the output
-    colors are the XOR of the row and column colors.
+    letter of the left word bars the column it extracts, so an entry v
+    reads as (v, row color XOR column color), and what is left of a right
+    letter keeps its color (see :func:`~peakforge.algebra.peeled_structure`).
     """
-
-    def read(reading):
-        return tuple(
-            [
-                (value, right[row][1] ^ left[c][1])
-                for c, col in enumerate(reading)
-                for row, value in col
-            ]
-        )
-
-    return internal_words(
-        tuple(s for s, _ in right), tuple(s for s, _ in left), read
-    )
+    sizes = underlying_composition
+    return peeled_structure(left, right, internal_structure, sizes, _read_entry)
 
 
 class MrElement(WordElement):

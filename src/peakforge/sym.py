@@ -8,11 +8,11 @@ Bases, indexed by compositions:
 
 The outer product concatenates words of complete functions.  The coproduct
 makes the complete generating series grouplike.  The degreewise internal
-product is computed by the splitting recursion, unrolled per pair of basis
-words into an enumeration of nonnegative integer matrices with prescribed
-margins; the embedding into free quasi-symmetric functions and the group
-algebras of the symmetric groups provide two independent cross-checks (see
-the test suite).
+product follows the splitting recursion one letter of the left word at a
+time, with the structure constants of the shorter pairs cached and shared;
+the embedding into free quasi-symmetric functions and the group algebras
+of the symmetric groups provide two independent cross-checks (see the test
+suite).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .algebra import (
     S,
     WordElement,
     expand_letters,
-    internal_words,
+    peeled_structure,
     word_product,
 )
 from .combinatorics import compositions, permutations_by_descent
@@ -51,8 +51,8 @@ def _split(k: int):
     return tuple(((i,) if i else (), (k - i,) if k - i else ()) for i in range(k + 1))
 
 
-def _read_values(reading):
-    return tuple([value for col in reading for _, value in col])
+def _read_entry(a: int, b: int, v: int):
+    return v, b - v
 
 
 @cache
@@ -62,9 +62,12 @@ def internal_structure(I, J):
     Splitting the left word and pairing against the iterated coproduct of
     the right word leaves one nonnegative integer matrix per term, with row
     sums J and column sums I; the resulting word reads the columns left to
-    right, each top to bottom.
+    right, each top to bottom.  The first column reads the values of a fill
+    of I's first letter into J, so the constants recurse through shorter
+    pairs (see :func:`~peakforge.algebra.peeled_structure`).
     """
-    return internal_words(J, I, _read_values)
+    # letters are their own sizes: tuple(J) is J
+    return peeled_structure(I, J, internal_structure, tuple, _read_entry)
 
 
 class SymElement(WordElement):

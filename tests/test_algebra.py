@@ -45,6 +45,88 @@ def test_column_readings_edge_cases():
     assert algebra.column_reading_structure((), ()) == (((), 1),)
 
 
+# ---- structure constants by letter peeling
+
+
+def _by_readings(rows, cols, read):
+    """Structure constants read off the margin matrices one by one: each
+    column reading gives the word ``read(reading)``, accumulated."""
+    acc = {}
+    for reading, mult in algebra.column_reading_structure(rows, cols):
+        word = read(reading)
+        acc[word] = acc.get(word, 0) + mult
+    return tuple(sorted(acc.items()))
+
+
+def _sym_reference(I, J):
+    return _by_readings(J, I, lambda reading: tuple(v for col in reading for _, v in col))
+
+
+def _mr_reference(left, right):
+    def read(reading):
+        return tuple(
+            (v, right[row][1] ^ left[c][1])
+            for c, col in enumerate(reading)
+            for row, v in col
+        )
+
+    sizes = (tuple(s for s, _ in right), tuple(s for s, _ in left))
+    return _by_readings(*sizes, read)
+
+
+def _assert_frozen(result):
+    assert type(result) is tuple
+    for pair in result:
+        assert type(pair) is tuple and type(pair[0]) is tuple
+
+
+def test_peeled_constants_match_the_margin_matrices():
+    for n in range(8):
+        words = list(compositions(n))
+        for I in words:
+            for J in words:
+                got = sym.internal_structure(I, J)
+                assert got == _sym_reference(I, J), (I, J)
+                _assert_frozen(got)
+    for n in range(6):
+        words = list(colored_compositions(n))
+        for left in words:
+            for right in words:
+                got = mr.internal_structure(left, right)
+                assert got == _mr_reference(left, right), (left, right)
+                _assert_frozen(got)
+
+
+def test_peeled_constants_edge_cases():
+    a, b = (1, 0), (2, 1)
+    cases = ((sym.internal_structure, 1, (1, 2)), (mr.internal_structure, a, (a, b)))
+    for structure, one, word in cases:
+        # the empty words: the unit of degree 0, and nothing across degrees
+        assert structure((), ()) == (((), 1),)
+        assert structure((), (one,)) == ()
+        assert structure((one,), ()) == ()
+        # pairs of unequal degree
+        assert structure(word, (one,)) == ()
+        assert structure((one,), word) == ()
+        assert structure(word, word + (one,)) == ()
+    # a one-letter word against a long word: S_n is the unit of degree n
+    # on the right, and reads the right word on the left
+    long = (1, 2, 1, 3)
+    assert sym.internal_structure((7,), long) == ((long, 1),)
+    assert sym.internal_structure(long, (7,)) == ((long, 1),)
+    colored = ((1, 0), (2, 1), (1, 1), (3, 0))
+    barred = tuple((s, 1 - c) for s, c in colored)
+    assert mr.internal_structure(((7, 0),), colored) == ((colored, 1),)
+    assert mr.internal_structure(((7, 1),), colored) == ((barred, 1),)
+    assert mr.internal_structure(colored, ((7, 0),)) == ((colored, 1),)
+    assert mr.internal_structure(colored, ((7, 1),)) == ((barred, 1),)
+    for I, J in (((7,), long), (long, (7,)), ((1, 6), long)):
+        assert sym.internal_structure(I, J) == _sym_reference(I, J)
+    cases = ((((7, 1),), colored), (colored, ((7, 1),)), (((1, 1), (6, 0)), colored))
+    for left, right in cases:
+        assert mr.internal_structure(left, right) == _mr_reference(left, right)
+
+
 # ---- rational coefficients accumulated as integers
 
 

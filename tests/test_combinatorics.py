@@ -247,6 +247,21 @@ def test_weak_order_ideal_downward_closed():
             assert weak_order_ideal(u) <= ideal
 
 
+def test_permutations_by_descent_matches_the_descent_sets():
+    # the one-scan composition against the one built from the descent set
+    for n in range(8):
+        table = comb.permutations_by_descent(n)
+        expected = {I: [] for I in compositions(n)}
+        for p in permutations(n):
+            I = comb.composition_from_descents(comb.descent_positions(p), n)
+            assert descent_composition(p) == I
+            expected[I].append(p)
+        assert list(table) == list(expected)
+        for I, perms in expected.items():
+            assert type(table[I]) is tuple
+            assert table[I] == tuple(perms)
+
+
 def test_cached_tables_are_read_only():
     with pytest.raises(TypeError):
         comb.permutations_by_descent(3)[(3,)] = ()

@@ -73,6 +73,12 @@ def test_entries_of_another_cyclotomic_field_are_refused():
     assert s.contains({"x": field(4), "y": 1})
     assert s.basis() == [{"x": field.one, "y": field(Fraction(1, 4))}]
     assert all(type(c) is Cyclo for row in s.basis() for c in row.values())
+    # a span over Q holds its rows in Q(zeta_1) but refuses every Cyclo entry
+    rational = GradedSubspace(QQ, ["x"])
+    with pytest.raises(TypeError):
+        rational.insert({"x": cyclotomic_field(1).one})
+    with pytest.raises(TypeError):
+        rational.contains({"x": cyclotomic_field(1)(3)})
 
 
 def test_rows_are_fully_reduced_with_unit_pivots():
@@ -265,3 +271,64 @@ def test_to_json_is_deterministic():
     s.insert({"a": 1, "c": 5})
     assert s.to_json() == s.to_json()
     assert all(isinstance(entry[1], str) for row in s.to_json() for entry in row)
+
+
+class _FractionSpan(GradedSubspace):
+    """A span over Q that stores its rows as Fractions and eliminates with
+    the generic kernel in Fraction arithmetic: the reference for the
+    integer kernel."""
+
+    def __init__(self, keys):
+        super().__init__(QQ, keys, track=True)
+        self._field, self._native = QQ, Fraction
+        self._subtract = linalg._subtract_multiple
+
+    def _value(self, c):
+        return c
+
+
+def _random_rational_vector(rng, keys, basis):
+    """A sparse vector with non-integer entries, or a combination of
+    earlier vectors with one entry cancelled, so that reduction meets
+    both fresh denominators and exact cancellations."""
+    if basis and rng.random() < 0.5:
+        out = {}
+        for v in rng.sample(basis, min(len(basis), rng.randint(1, 3))):
+            c = Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 5))
+            for k, a in v.items():
+                out[k] = out.get(k, 0) + c * a
+        if rng.random() < 0.5 and out:
+            out.pop(rng.choice(sorted(out)))
+        return {k: a for k, a in out.items() if a}
+    return {
+        k: Fraction(rng.randint(-6, 6), rng.randint(1, 7))
+        for k in rng.sample(keys, rng.randint(1, len(keys)))
+    }
+
+
+def test_rational_span_matches_the_fraction_kernel():
+    rng = random.Random(13)
+    for _ in range(25):
+        keys = [(i,) for i in range(rng.randint(3, 8))]
+        span = GradedSubspace(QQ, keys, track=True)
+        reference = _FractionSpan(keys)
+        inserted = []
+        for step in range(3 * len(keys)):
+            v = _random_rational_vector(rng, keys, inserted)
+            action = rng.choice(("insert", "contains", "coordinates"))
+            if action == "insert":
+                assert span.insert(v, label=step) == reference.insert(v, label=step)
+                inserted.append(v)
+            elif action == "contains":
+                assert span.contains(v) == reference.contains(v)
+            else:
+                coords = span.coordinates(v)
+                assert coords == reference.coordinates(v)
+                if coords is not None:
+                    assert all(type(c) is Fraction for c in coords.values())
+            assert span.rank == reference.rank
+            assert span.pivot_keys() == reference.pivot_keys()
+            assert span.basis() == reference.basis()
+            assert span.to_json() == reference.to_json()
+        assert all(type(c) is Fraction for row in span.basis() for c in row.values())
+        assert span.ring is QQ
