@@ -16,7 +16,6 @@ algebras supply.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cache, partial
 from math import inf
 
@@ -300,8 +299,8 @@ def letterwise(f: WordElement, q, letter):
 # loop; the algebras supply only their key tables, whose entries are
 # (key, multiplier) pairs with the multiplier an int or a scalar.  The two
 # bilinear products, internal and concatenation, run on integers when both
-# operands are rational (see _over_integers): Fraction arithmetic would
-# take a gcd for every product and sum.
+# operands are rational, over Q, Q(zeta_1) or Q(zeta_2) (see _over_integers):
+# the fields' arithmetic would normalize every product and sum.
 
 
 def expand(terms: dict, table) -> dict:
@@ -356,28 +355,57 @@ def internal(u: dict, v: dict, structure, degree) -> dict:
     ``structure(I, J)`` gives the integer structure constants of I * J as
     (key, multiplicity) pairs; cross-degree products vanish, so ``v`` is
     grouped by ``degree`` once and only pairs of equal degree are
-    evaluated.  Rational coefficients are accumulated as integers (see
-    :func:`_over_integers`).
+    evaluated, on word ids (see :class:`_WordTable`).  Rational
+    coefficients are accumulated as integers (see :func:`_over_integers`).
     """
     return _over_integers(_internal, u, v, structure, degree)
 
 
 def _internal(u: dict, v: dict, structure, degree) -> dict:
+    table = _table(structure)
     by_degree: dict = {}
     for J, cv in v.items():
-        by_degree.setdefault(degree(J), []).append((J, cv))
+        by_degree.setdefault(degree(J), []).append((J, table.id(J), cv))
     out: dict = {}
     for I, cu in u.items():
-        for J, cv in by_degree.get(degree(I), ()):
+        row = table.rows.setdefault(table.id(I), {})
+        for J, j, cv in by_degree.get(degree(I), ()):
             c = cu * cv
-            for K, mult in structure(I, J):
-                s = out.get(K)
+            constants = row.get(j)
+            if constants is None:
+                constants = row[j] = tuple([table[p][1] for p in structure(I, J)])
+            for k, mult in constants:
+                s = out.get(k)
                 s = mult * c if s is None else s + mult * c
                 if s:
-                    out[K] = s
+                    out[k] = s
                 else:
-                    out.pop(K, None)
-    return out
+                    out.pop(k, None)
+    return {table.words[k]: s for k, s in out.items()}
+
+
+class _WordTable(dict):
+    """The words of one structure callable, numbered as met: ``ids`` maps
+    word -> id and ``words`` id -> word.  The dict maps each (word, mult)
+    structure constant to a shared equal pair and its (id, mult) pair, and
+    ``rows[i][j]`` holds the (id, mult) constants of words[i] * words[j]."""
+
+    def __init__(self):
+        self.ids, self.words, self.rows = {}, [], {}
+
+    def id(self, word) -> int:
+        i = self.ids.get(word)
+        if i is None:
+            i = self.ids[word] = len(self.words)
+            self.words.append(word)
+        return i
+
+    def __missing__(self, pair: tuple) -> tuple:
+        i = self.id(pair[0])
+        return self.setdefault(pair, ((self.words[i], pair[1]), (i, pair[1])))
+
+
+_table = cache(lambda structure: _WordTable())  # one table per structure callable
 
 
 def _concatenate(u: dict, v: dict, degree, limit) -> dict:
@@ -405,17 +433,17 @@ def _concatenate(u: dict, v: dict, degree, limit) -> dict:
 
 def _over_integers(kernel, u: dict, v: dict, *args) -> dict:
     """``kernel(u, v, *args)`` for a kernel bilinear in u and v.  When every
-    coefficient of both is rational, the kernel runs on integer multiples
-    U = Du*u and V = Dv*v, and each surviving sum is divided by Du*Dv once;
-    a sum cancels exactly where it does over Q, so the keys and their order
-    are the same."""
+    coefficient of both is a rational of one field, Q, Q(zeta_1) or
+    Q(zeta_2), the kernel runs on integer multiples U = Du*u and V = Dv*v,
+    and each surviving sum is divided by Du*Dv once; a sum cancels exactly
+    where it does in the field, so the keys and their order are the same."""
     cleared_u = _cleared_terms(u)
     cleared_v = cleared_u and _cleared_terms(v)
-    if not cleared_v:
+    if not cleared_v or cleared_u[2] != cleared_v[2]:
         return kernel(u, v, *args)
-    (iu, du), (iv, dv) = cleared_u, cleared_v
+    (iu, du, make), (iv, dv, _) = cleared_u, cleared_v
     den = du * dv
-    return {k: Fraction(s, den) for k, s in kernel(iu, iv, *args).items()}
+    return {k: make(s, den) for k, s in kernel(iu, iv, *args).items()}
 
 
 def by_coefficient(terms: dict) -> dict:
@@ -455,7 +483,7 @@ def peeled_structure(left: tuple, right: tuple, structure, sizes, read) -> tuple
     followed by each word of ``structure(rest of left, rest of right)``.
     The algebra's letter table gives ``sizes(word)`` and ``read(a, b, v)``:
     the letter an entry v reads where left letter a meets right letter b,
-    and b less v.
+    and b less v.  The pairs and their words are shared (:class:`_WordTable`).
     """
     if not left:
         return () if right else (((), 1),)
@@ -472,7 +500,8 @@ def peeled_structure(left: tuple, right: tuple, structure, sizes, read) -> tuple
         for word, mult in structure(left[1:], rest):
             word = head + word
             acc[word] = acc.get(word, 0) + mult
-    return tuple(sorted(acc.items()))
+    table = _table(structure)
+    return tuple([table[p][0] for p in sorted(acc.items())])
 
 
 @cache

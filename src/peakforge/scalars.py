@@ -98,13 +98,22 @@ def _int_cleared(coeffs):
 
 
 def _cleared_terms(terms: dict):
-    """Integer terms T and a positive integer m with terms = T/m, when every
-    value is an int or a Fraction; None otherwise."""
-    for c in terms.values():
-        if type(c) is not Fraction and type(c) is not int:
+    """Integer terms T, a positive integer m and the field's constructor
+    ``make`` with terms = {k: make(T[k], m)}, when the values are all ints
+    and Fractions (``make`` is Fraction) or all Cyclo values of one field of
+    degree 1, Q(zeta_1) or Q(zeta_2) (``make`` is the field); None otherwise."""
+    first = next(iter(terms.values()), None)
+    make = first.field if type(first) is Cyclo else Fraction
+    if make is Fraction:
+        if any(type(c) is not Fraction and type(c) is not int for c in terms.values()):
             return None
-    m = lcm(*{c.denominator for c in terms.values()})
-    return {k: c.numerator * (m // c.denominator) for k, c in terms.items()}, m
+        parts = [(c.numerator, c.denominator) for c in terms.values()]
+    elif make.degree == 1 and all(type(c) is Cyclo and c.field is make for c in terms.values()):
+        parts = [(c.vec[0], c.den) for c in terms.values()]
+    else:
+        return None
+    m = lcm(*{d for _, d in parts})
+    return {k: n * (m // d) for k, (n, d) in zip(terms, parts)}, m, make
 
 
 def _int_prem(a, b):
@@ -483,13 +492,14 @@ class CyclotomicField:
                         out[t] += c * p
         return tuple(out)
 
-    def __call__(self, x):
+    def __call__(self, x, den: int = 1):  # x/den for an int x, den > 0
         if isinstance(x, Cyclo):
             if x.field is not self:
                 raise TypeError("element of a different cyclotomic field")
             return x
         if isinstance(x, int):
-            return Cyclo(self, (x,) + (0,) * (self.degree - 1), 1)
+            g = gcd(x, den)
+            return _cyclo(self, (x // g,) + (0,) * (self.degree - 1), den // g)
         if isinstance(x, Fraction):
             return Cyclo(
                 self,

@@ -1,10 +1,11 @@
 import itertools
 import random
 from fractions import Fraction
+from math import inf
 
 from peakforge import algebra, mr, sym
 from peakforge.combinatorics import colored_compositions, compositions
-from peakforge.scalars import QQ, Cyclo, cyclotomic_field
+from peakforge.scalars import QQ, Cyclo, QQq, cyclotomic_field
 
 # ---- margin matrices
 
@@ -97,6 +98,32 @@ def test_peeled_constants_match_the_margin_matrices():
                 _assert_frozen(got)
 
 
+def test_peeled_constants_share_their_words():
+    # results hold one object per word and per (word, multiplicity) pair,
+    # shared across the pairs of words they come from
+    words = list(colored_compositions(4))
+    first_word, first_pair = {}, {}
+    occurrences = 0
+    for left in words:
+        for right in words:
+            got = mr.internal_structure(left, right)
+            assert got == _mr_reference(left, right), (left, right)
+            _assert_frozen(got)
+            for pair in got:
+                assert first_word.setdefault(pair[0], pair[0]) is pair[0]
+                assert first_pair.setdefault(pair, pair) is pair
+            occurrences += len(got)
+    assert occurrences > 2 * len(first_pair)  # most pairs recur
+    # a word of degree 2 that (a, a) * (b) and (b) * (a, a) both produce
+    a, b = (1, 0), (2, 1)
+    (x, _), = mr.internal_structure((a, a), (b,))
+    (y, _), = mr.internal_structure((b,), (a, a))
+    assert x == y == ((1, 1), (1, 1)) and x is y
+    for I in compositions(4):
+        for J in compositions(4):
+            assert sym.internal_structure(I, J) == _sym_reference(I, J)
+
+
 def test_peeled_constants_edge_cases():
     a, b = (1, 0), (2, 1)
     cases = ((sym.internal_structure, 1, (1, 2)), (mr.internal_structure, a, (a, b)))
@@ -127,28 +154,62 @@ def test_peeled_constants_edge_cases():
         assert mr.internal_structure(left, right) == _mr_reference(left, right)
 
 
-# ---- rational coefficients accumulated as integers
+# ---- the product kernels: word ids, and rationals accumulated as integers
+
+# Q, Q(zeta_1) and Q(zeta_2) run on integers; Q(zeta_3) and Q(q) run the
+# field's own arithmetic, on word ids like the others
+FIELDS = (QQ, cyclotomic_field(1), cyclotomic_field(2), cyclotomic_field(3), QQq)
 
 
-def _random_element(cls, keys, rng):
-    terms = {k: Fraction(rng.randint(-6, 6), rng.randint(2, 6)) for k in rng.sample(keys, 5)}
-    return cls(QQ, "S", terms)
+def _generator(ring):
+    return {QQ: Fraction(1), QQq: QQq.q}.get(ring) or ring.zeta
 
 
-def _via_generic_loop(op, f, g):
-    """op(f, g) computed over Q(zeta_1), whose Cyclo coefficients take the
-    generic loop, mapped back to Q."""
-    field = cyclotomic_field(1)
-    out = op(f.with_ring(field), g.with_ring(field))
-    assert out.ring is field
-    return {k: c.coeffs[0] for k, c in out.terms.items()}
+def _random_element(cls, keys, ring, rng):
+    gen = _generator(ring)
+    terms = {
+        k: ring(Fraction(rng.randint(-6, 6), rng.randint(2, 6))) * gen ** rng.randint(0, 2)
+        for k in rng.sample(keys, 5)
+    }
+    return cls(ring, "S", terms)
 
 
-def _check_over_q(op, f, g):
+def _word_keyed_loop(op, f, g):
+    """op(f, g) for operands over S, accumulated on word keys in the field's
+    own arithmetic, with no word ids and no integer clearing."""
+    if op is mr.product:
+        return algebra._concatenate(f.terms, g.terms, f.key_degree, inf)
+    out = {}
+    for I, cu in f.terms.items():
+        for J, cv in g.terms.items():
+            if f.key_degree(I) != f.key_degree(J):
+                continue
+            c = cu * cv
+            for K, mult in f.structure(I, J):
+                s = out.get(K)
+                s = mult * c if s is None else s + mult * c
+                if s:
+                    out[K] = s
+                else:
+                    out.pop(K, None)
+    return out
+
+
+def _check_kernel(op, f, g):
+    """op(f, g) has the terms of the word-keyed loop, in the same order and
+    of the same type: Fractions over Q, and over Q(zeta_r) Cyclo values of
+    the field with the vectors and denominators of Cyclo arithmetic."""
     out = op(f, g)
-    assert out.ring is QQ
-    assert all(type(c) is Fraction and c for c in out.terms.values())
-    assert out.terms == _via_generic_loop(op, f, g)
+    ring = f.ring
+    assert out.ring is ring
+    expected = _word_keyed_loop(op, f, g)
+    assert list(out.terms.items()) == list(expected.items())
+    for c, e in zip(out.terms.values(), expected.values()):
+        assert c and type(c) is type(e)
+        if ring is QQ:
+            assert type(c) is Fraction
+        elif ring is not QQq:
+            assert type(c) is Cyclo and c.field is ring and (c.vec, c.den) == (e.vec, e.den)
     return out
 
 
@@ -156,41 +217,62 @@ def test_rational_products_match_the_generic_loop():
     rng = random.Random(8)
     sym_keys = [I for n in range(1, 5) for I in compositions(n)]
     mr_keys = [J for n in range(1, 4) for J in colored_compositions(n)]
-    for _ in range(15):
-        f, g = (_random_element(sym.SymElement, sym_keys, rng) for _ in range(2))
-        _check_over_q(sym.internal_product, f, g)
-        f, g = (_random_element(mr.MrElement, mr_keys, rng) for _ in range(2))
-        _check_over_q(mr.internal_product, f, g)
-        _check_over_q(mr.product, f, g)
+    for ring in FIELDS:
+        for _ in range(15):
+            f, g = (_random_element(sym.SymElement, sym_keys, ring, rng) for _ in range(2))
+            _check_kernel(sym.internal_product, f, g)
+            f, g = (_random_element(mr.MrElement, mr_keys, ring, rng) for _ in range(2))
+            _check_kernel(mr.internal_product, f, g)
+            _check_kernel(mr.product, f, g)
 
 
 def test_rational_products_drop_cancelled_keys():
     def S(key, c):
         return sym.monomial(QQ, key, c)
 
-    # S11 * S11 = 2 S11 and S2 * S11 = S11, so S11 cancels
-    u = S((1, 1), Fraction(1, 2)) + S((2,), -1) + S((1, 2), Fraction(1, 5))
-    v = S((1, 1), 1) + S((3,), Fraction(1, 6))
-    assert _check_over_q(sym.internal_product, u, v) == S((1, 2), Fraction(1, 30))
-    # the same with integer coefficients, so that nothing is divided
-    u = S((1, 1), 1) + S((2,), -2) + S((1, 2), 1)
-    v = S((1, 1), 1) + S((3,), 1)
-    assert _check_over_q(sym.internal_product, u, v) == S((1, 2), 1)
-
     def M(key, c):
         return mr.monomial(QQ, key, c)
 
-    # (1/2 a + 1/3 aa)(aa - 3/2 a): the two aaa terms cancel
     a = (1, 0)
-    u = M((a,), Fraction(1, 2)) + M((a, a), Fraction(1, 3))
-    v = M((a, a), 1) + M((a,), Fraction(-3, 2))
-    assert _check_over_q(mr.product, u, v) == M((a, a), Fraction(-3, 4)) + M(
-        (a, a, a, a), Fraction(1, 3)
-    )
-    # both terms of u give 1/6 S[1,-1] against v, with opposite signs
-    u = M(((2, 1),), Fraction(1, 2)) + M((a, a), Fraction(-1, 2))
-    v = M(((1, 1), a), Fraction(1, 3))
-    assert _check_over_q(mr.internal_product, u, v) == M(((1, 1), a), Fraction(-1, 6))
+    cases = [
+        # S11 * S11 = 2 S11 and S2 * S11 = S11, so S11 cancels
+        (
+            sym.internal_product,
+            S((1, 1), Fraction(1, 2)) + S((2,), -1) + S((1, 2), Fraction(1, 5)),
+            S((1, 1), 1) + S((3,), Fraction(1, 6)),
+            S((1, 2), Fraction(1, 30)),
+        ),
+        # the same with integer coefficients, so that nothing is divided
+        (
+            sym.internal_product,
+            S((1, 1), 1) + S((2,), -2) + S((1, 2), 1),
+            S((1, 1), 1) + S((3,), 1),
+            S((1, 2), 1),
+        ),
+        # (1/2 a + 1/3 aa)(aa - 3/2 a): the two aaa terms cancel
+        (
+            mr.product,
+            M((a,), Fraction(1, 2)) + M((a, a), Fraction(1, 3)),
+            M((a, a), 1) + M((a,), Fraction(-3, 2)),
+            M((a, a), Fraction(-3, 4)) + M((a, a, a, a), Fraction(1, 3)),
+        ),
+        # both terms of u give 1/6 S[1,-1] against v, with opposite signs
+        (
+            mr.internal_product,
+            M(((2, 1),), Fraction(1, 2)) + M((a, a), Fraction(-1, 2)),
+            M(((1, 1), a), Fraction(1, 3)),
+            M(((1, 1), a), Fraction(-1, 6)),
+        ),
+    ]
+    for ring in FIELDS:
+        # over Q(zeta_3) and Q(q) the left factor is scaled by the generator,
+        # so that the coefficients are not all rational
+        gen = _generator(ring)
+        for op, u, v, product in cases:
+            u, v = u.with_ring(ring).scaled(gen), v.with_ring(ring)
+            out = _check_kernel(op, u, v)
+            assert out == product.with_ring(ring).scaled(gen), (ring, op)
+            assert list(out.terms) == list(product.terms)
 
 
 def test_rational_times_cyclotomic_product():

@@ -124,6 +124,12 @@ def test_closure_witness_names_the_keys():
     assert peak.closure_check(sub, "sym") == (False, "1,2 * 1,2")
     sub = _without_first_row(peak.mr_sharp_module_subspace(2, 3))
     assert peak.closure_check(sub, "mr") == (False, "1,-1 * 1,-1")
+    # over Q(zeta_2), whose products run on integers
+    sub = _without_first_row(peak.mr_sharp_module_subspace(3, 2))
+    assert peak.closure_check(sub, "mr") == (False, "1,-1,1 * 1,-1,1")
+    assert peak.closure_check(peak.mr_sharp_subspace(3, 2), "mr", ideal=True) == (True, None)
+    sub = _without_first_row(peak.mr_sharp_subspace(3, 2))
+    assert peak.closure_check(sub, "mr", ideal=True) == (False, "1,1,1 * 1,-1,1")
 
 
 def test_bsym_closure_witness_names_the_compositions(monkeypatch):
