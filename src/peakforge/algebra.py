@@ -16,8 +16,10 @@ algebras supply.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import cache, partial
 from math import inf
+from operator import itemgetter
 
 from .scalars import _cleared_terms, common_ring, ring_of, scalar_str
 
@@ -125,11 +127,7 @@ class Element:
         terms = dict(a.terms)
         for k, c in b.terms.items():
             s = terms.get(k)
-            s = c if s is None else s + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
+            terms[k] = c if s is None else s + c
         bound = merge_bounds(a.bound, b.bound)
         if bound is not None:
             terms = {k: c for k, c in terms.items() if self.key_degree(k) <= bound}
@@ -282,7 +280,8 @@ def coproduct(f: WordElement) -> dict:
             parts = nxt
         return parts.items()
 
-    return expand(f.convert(S).terms, split_word)
+    terms = expand(f.convert(S).terms, split_word)
+    return {k: c for k, c in terms.items() if c}
 
 
 def letterwise(f: WordElement, q, letter):
@@ -295,12 +294,14 @@ def letterwise(f: WordElement, q, letter):
 
 
 # --------------------------------------------------------------------------
-# Sparse kernels on term dicts.  Each holds one accumulate-and-drop-zero
-# loop; the algebras supply only their key tables, whose entries are
-# (key, multiplier) pairs with the multiplier an int or a scalar.  The two
-# bilinear products, internal and concatenation, run on integers when both
-# operands are rational, over Q, Q(zeta_1) or Q(zeta_2) (see _over_integers):
-# the fields' arithmetic would normalize every product and sum.
+# Sparse kernels on term dicts.  Each holds one accumulation loop, and its
+# result keeps the keys whose terms cancel, with zero coefficients: zeros
+# leave at the Element or GradedSubspace the result reaches.  The algebras
+# supply only their key tables, whose entries are (key, multiplier) pairs
+# with the multiplier an int or a scalar.  The bilinear products run on
+# integers when both operands are rational, over Q, Q(zeta_1) or Q(zeta_2)
+# (see _over_integers): the fields' arithmetic would normalize every
+# product and sum.
 
 
 def expand(terms: dict, table) -> dict:
@@ -310,11 +311,7 @@ def expand(terms: dict, table) -> dict:
     for key, c in terms.items():
         for new_key, mult in table(key):
             s = out.get(new_key)
-            s = mult * c if s is None else s + mult * c
-            if s:
-                out[new_key] = s
-            else:
-                out.pop(new_key, None)
+            out[new_key] = mult * c if s is None else s + mult * c
     return out
 
 
@@ -340,11 +337,7 @@ def expand_letters(terms: dict, letter_table) -> dict:
                 for tail, mult in tails:
                     key = prefix + tail
                     s = nxt.get(key)
-                    s = mult * c0 if s is None else s + mult * c0
-                    if s:
-                        nxt[key] = s
-                    else:
-                        nxt.pop(key, None)
+                    nxt[key] = mult * c0 if s is None else s + mult * c0
             acc = nxt
     return out
 
@@ -357,6 +350,7 @@ def internal(u: dict, v: dict, structure, degree) -> dict:
     grouped by ``degree`` once and only pairs of equal degree are
     evaluated, on word ids (see :class:`_WordTable`).  Rational
     coefficients are accumulated as integers (see :func:`_over_integers`).
+    Cancelled keys stay, with zero coefficients.
     """
     return _over_integers(_internal, u, v, structure, degree)
 
@@ -376,11 +370,7 @@ def _internal(u: dict, v: dict, structure, degree) -> dict:
                 constants = row[j] = tuple([table[p][1] for p in structure(I, J)])
             for k, mult in constants:
                 s = out.get(k)
-                s = mult * c if s is None else s + mult * c
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+                out[k] = mult * c if s is None else s + mult * c
     return {table.words[k]: s for k, s in out.items()}
 
 
@@ -423,11 +413,7 @@ def _concatenate(u: dict, v: dict, degree, limit) -> dict:
                     key = k1 + k2
                     c = c1 * c2
                     s = out.get(key)
-                    s = c if s is None else s + c
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+                    out[key] = c if s is None else s + c
     return out
 
 
@@ -435,8 +421,8 @@ def _over_integers(kernel, u: dict, v: dict, *args) -> dict:
     """``kernel(u, v, *args)`` for a kernel bilinear in u and v.  When every
     coefficient of both is a rational of one field, Q, Q(zeta_1) or
     Q(zeta_2), the kernel runs on integer multiples U = Du*u and V = Dv*v,
-    and each surviving sum is divided by Du*Dv once; a sum cancels exactly
-    where it does in the field, so the keys and their order are the same."""
+    and each sum is divided by Du*Dv once; a sum cancels exactly where it
+    does in the field, so the keys and their order are the same."""
     cleared_u = _cleared_terms(u)
     cleared_v = cleared_u and _cleared_terms(v)
     if not cleared_v or cleared_u[2] != cleared_v[2]:
@@ -444,6 +430,33 @@ def _over_integers(kernel, u: dict, v: dict, *args) -> dict:
     (iu, du, make), (iv, dv, _) = cleared_u, cleared_v
     den = du * dv
     return {k: make(s, den) for k, s in kernel(iu, iv, *args).items()}
+
+
+def _compositions(u: dict, v: dict) -> dict:
+    """The bilinear composition kernel, (u o v)(i) = u(v(i)), on operands
+    of one degree: count the compositions of each pair of coefficient
+    classes, then scale once per resulting element."""
+    out: dict = {}
+    right = by_coefficient(v)
+    for cu, us in by_coefficient(u).items():
+        for cv, vs in right.items():
+            c = cu * cv
+            for key, n in _count_compositions(us, vs).items():
+                s = out.get(key)
+                out[key] = n * c if s is None else s + n * c
+    return out
+
+
+def _count_compositions(us, vs) -> dict:
+    """How often each u o v occurs over all pairs of (signed) permutations."""
+    # u o v reads u at the entries of v: index j of a table below holds u(j)
+    # for -n <= j <= n; the two leading reads of index 0 make every read a
+    # tuple, even for the empty permutation
+    tables = [(0, *u, *[-x for x in reversed(u)]) for u in us]
+    counts = Counter()
+    for v in vs:
+        counts.update(map(itemgetter(0, 0, *v), tables))
+    return {key[2:]: n for key, n in counts.items()}
 
 
 def by_coefficient(terms: dict) -> dict:

@@ -14,12 +14,11 @@ product is out of scope here.
 
 from __future__ import annotations
 
-from .algebra import Element, by_coefficient, internal, merge_bounds
+from .algebra import Element, _compositions, _over_integers, by_coefficient, merge_bounds
 from .combinatorics import (
     hook_size,
     inverse,
     inverse_inversion_masks,
-    compose,
     left_right_minima,
     permutations,
     weak_order_ideal,
@@ -173,14 +172,14 @@ def convert(f: FqsymElement, basis: str) -> FqsymElement:
     raise ValueError(f"unknown basis {basis!r}")
 
 
-def _composition(p, t):
-    return ((compose(p, t), 1),)
-
-
 def internal_product(f: FqsymElement, g: FqsymElement) -> FqsymElement:
     """Degreewise internal product: composition on the F basis."""
     a, b = convert(f, F)._aligned(convert(g, F))
-    out = internal(a.terms, b.terms, _composition, len)
+    right = _by_degree(b.terms)
+    out: dict = {}
+    for n, terms in _by_degree(a.terms).items():
+        if n in right:
+            out.update(_over_integers(_compositions, terms, right[n]))
     result = FqsymElement(a.ring, F, out, bound=merge_bounds(a.bound, b.bound))
     return convert(result, f.basis)
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
-from operator import itemgetter
 
-from .algebra import Element, _over_integers, by_coefficient
+from .algebra import Element, _compositions, _over_integers
 from .combinatorics import (
     descent_set,
     format_composition,
@@ -55,32 +54,6 @@ def group_product(f: GroupAlgebraElement, g: GroupAlgebraElement) -> GroupAlgebr
     a, b = f._aligned(g)
     out = _over_integers(_compositions, a.terms, b.terms)
     return GroupAlgebraElement(a.ring, f.group, out)
-
-
-def _compositions(u: dict, v: dict) -> dict:
-    """The bilinear composition kernel: count the compositions of each pair
-    of coefficient classes, then scale once per resulting element."""
-    out: dict = {}
-    right = by_coefficient(v)
-    for cu, us in by_coefficient(u).items():
-        for cv, vs in right.items():
-            c = cu * cv
-            for key, n in _count_compositions(us, vs).items():
-                s = out.get(key)
-                out[key] = n * c if s is None else s + n * c
-    return out
-
-
-def _count_compositions(us, vs) -> dict:
-    """How often each u o v occurs over all pairs of (signed) permutations."""
-    # u o v reads u at the entries of v: index j of a table below holds u(j)
-    # for -n <= j <= n; the two leading reads of index 0 make every read a
-    # tuple, even for the empty permutation
-    tables = [(0, *u, *[-x for x in reversed(u)]) for u in us]
-    counts = Counter()
-    for v in vs:
-        counts.update(map(itemgetter(0, 0, *v), tables))
-    return {key[2:]: n for key, n in counts.items()}
 
 
 def descent_class_sn(n: int, comp, ring=QQ) -> GroupAlgebraElement:

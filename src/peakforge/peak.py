@@ -307,34 +307,25 @@ def pm_one_identity_check(q_value: int, n_max: int):
              g the sharps of the even S^- and odd S^+ ones,
              (f + 2)^2 = g^2 + 4.
 
-    Both are identities between truncated series in the level-2 algebra.
-    Returns (ok, f, g).
+    Sharp is an algebra map, so both read (F + 2)^2 = G^2 + 4 with
+    F = sharp(sum S_n^{q^n}) and G = sharp(sum S_n^{-q^n}): identities
+    between truncated series in the level-2 algebra.  Returns (ok, f, g).
     """
     if q_value not in (1, -1):
         raise ValueError("q must be +1 or -1")
     ring = QQ
-    q = ring(q_value)
     unit = mr.unit(ring).truncate(n_max)
-    if q_value == 1:
-        splus = unit
-        sminus = unit
+
+    def sharp_sum(sign):  # sharp(sum S_n^{sign q^n})
+        total = mr.MrElement.zero(ring, mr.S).truncate(n_max)
         for n in range(1, n_max + 1):
-            splus = splus + _plus_minus(ring, n, 1).truncate(n_max)
-            sminus = sminus + _plus_minus(ring, n, -1).truncate(n_max)
-        f = unit + mr.superization(splus, q)
-        g = mr.superization(sminus, q) - unit
-        lhs = mr.product(f, f)
-        rhs = mr.product(g, g) + 4 * unit
-        return lhs == rhs, f, g
-    f = mr.MrElement.zero(ring, mr.S).truncate(n_max)
-    g = mr.MrElement.zero(ring, mr.S).truncate(n_max)
-    for n in range(1, n_max + 1):
-        sign_f = 1 if n % 2 == 0 else -1
-        f = f + mr.superization(_plus_minus(ring, n, sign_f).truncate(n_max), q)
-        g = g + mr.superization(_plus_minus(ring, n, -sign_f).truncate(n_max), q)
-    lhs = mr.product(f + 2 * unit, f + 2 * unit)
-    rhs = mr.product(g, g) + 4 * unit
-    return lhs == rhs, f, g
+            total = total + _plus_minus(ring, n, sign * q_value**n)
+        return mr.superization(total, ring(q_value))
+
+    F, g = sharp_sum(1), sharp_sum(-1)
+    f = F + 2 * unit
+    ok = mr.product(f, f) == mr.product(g, g) + 4 * unit
+    return ok, (f if q_value == 1 else F), g
 
 
 # --------------------------------------------------------------------------

@@ -176,23 +176,20 @@ def _random_element(cls, keys, ring, rng):
 
 def _word_keyed_loop(op, f, g):
     """op(f, g) for operands over S, accumulated on word keys in the field's
-    own arithmetic, with no word ids and no integer clearing."""
+    own arithmetic, with no word ids and no integer clearing; cancelled keys
+    are dropped once, at the end, as Element does."""
     if op is mr.product:
-        return algebra._concatenate(f.terms, g.terms, f.key_degree, inf)
-    out = {}
-    for I, cu in f.terms.items():
-        for J, cv in g.terms.items():
-            if f.key_degree(I) != f.key_degree(J):
-                continue
-            c = cu * cv
-            for K, mult in f.structure(I, J):
-                s = out.get(K)
-                s = mult * c if s is None else s + mult * c
-                if s:
-                    out[K] = s
-                else:
-                    out.pop(K, None)
-    return out
+        out = algebra._concatenate(f.terms, g.terms, f.key_degree, inf)
+    else:
+        out = {}
+        for I, cu in f.terms.items():
+            for J, cv in g.terms.items():
+                if f.key_degree(I) == f.key_degree(J):
+                    c = cu * cv
+                    for K, mult in f.structure(I, J):
+                        s = out.get(K)
+                        out[K] = mult * c if s is None else s + mult * c
+    return {K: c for K, c in out.items() if c}
 
 
 def _check_kernel(op, f, g):

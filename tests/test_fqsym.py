@@ -2,7 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from peakforge import fqsym, sym
+from peakforge import algebra, fqsym, oracle, sym
 from peakforge.combinatorics import (
     inverse,
     inverse_inversion_masks,
@@ -57,6 +57,43 @@ def test_internal_product_group_laws():
         for t in permutations(3):
             prod = fqsym.internal_product(G(p), G(t))
             assert list(prod.terms) == [tuple(t[x - 1] for x in p)]
+
+
+def _random_f_element(ring, rng, degrees):
+    zeta = ring.zeta if ring is not QQ else 1
+    terms = {}
+    for n in degrees:
+        perms = list(permutations(n))
+        for p in rng.sample(perms, min(6, len(perms))):
+            # few distinct coefficients, so that compositions collide and cancel
+            terms[p] = ring(Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))) * (
+                zeta ** rng.randint(0, 1)
+            )
+    return fqsym.FqsymElement(ring, fqsym.F, terms)
+
+
+def test_internal_product_is_the_group_product_in_each_degree():
+    rng = random.Random(6)
+    before = algebra._table.cache_info()
+    for ring in (QQ, cyclotomic_field(3)):
+        for _ in range(10):
+            f = _random_f_element(ring, rng, rng.sample(range(5), 3))
+            g = _random_f_element(ring, rng, rng.sample(range(5), 3))
+            prod = fqsym.internal_product(f, g)
+            assert prod.ring is ring and prod.basis == fqsym.F
+            for n in range(5):
+                a, b = f.homogeneous(n), g.homogeneous(n)
+                if not (a and b):
+                    assert not prod.homogeneous(n)
+                    continue
+                group = oracle.group_product(
+                    oracle.GroupAlgebraElement(ring, oracle.SYMMETRIC, a.terms),
+                    oracle.GroupAlgebraElement(ring, oracle.SYMMETRIC, b.terms),
+                )
+                assert prod.homogeneous(n).terms == group.terms, (ring, n)
+    # composition reads no word table, whose pairs of permutations would
+    # pile up: n!^2 of them after one dense product in degree n
+    assert algebra._table.cache_info() == before
 
 
 # ---- dual of the monomial basis

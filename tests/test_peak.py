@@ -340,6 +340,30 @@ def test_symbolic_route_specializes_to_the_cyclotomic_route():
             ), (r, basis)
 
 
+def _pm_one_by_definition(q_value, n_max):
+    """f and g of the q = +-1 identities, built term by term as the paper
+    defines them."""
+    q = QQ(q_value)
+    unit = mr.unit(QQ).truncate(n_max)
+
+    def generator(n, sign):
+        terms = {((n, 0),): QQ(1), ((n, 1),): QQ(sign)}
+        return mr.MrElement(QQ, mr.S, terms).truncate(n_max)
+
+    if q_value == 1:
+        splus = sminus = unit
+        for n in range(1, n_max + 1):
+            splus = splus + generator(n, 1)
+            sminus = sminus + generator(n, -1)
+        return unit + mr.superization(splus, q), mr.superization(sminus, q) - unit
+    f = g = mr.MrElement.zero(QQ, mr.S).truncate(n_max)
+    for n in range(1, n_max + 1):
+        sign_f = 1 if n % 2 == 0 else -1
+        f = f + mr.superization(generator(n, sign_f), q)
+        g = g + mr.superization(generator(n, -sign_f), q)
+    return f, g
+
+
 def test_pm_one_identities():
     ok, f, g = peak.pm_one_identity_check(1, 5)
     assert ok
@@ -350,6 +374,13 @@ def test_pm_one_identities():
     assert not f.coefficient(())
     with pytest.raises(ValueError):
         peak.pm_one_identity_check(3, 2)
+    for q_value in (1, -1):
+        for n_max in range(1, 6):
+            ok, f, g = peak.pm_one_identity_check(q_value, n_max)
+            want_f, want_g = _pm_one_by_definition(q_value, n_max)
+            assert ok
+            assert (f.terms, f.bound) == (want_f.terms, want_f.bound), (q_value, n_max)
+            assert (g.terms, g.bound) == (want_g.terms, want_g.bound), (q_value, n_max)
 
 
 def test_hilbert_report_json_schema():

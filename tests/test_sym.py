@@ -88,6 +88,14 @@ def test_coproduct_examples():
         ((1,), (1,)): QQ(1),
         ((2,), ()): QQ(1),
     }
+    # the ((1,), (1,)) terms of S_11 and -2 S_2 cancel and leave no key
+    cp3 = sym.coproduct(S((1, 1)) - 2 * S((2,)))
+    assert cp3 == {
+        ((), (1, 1)): QQ(1),
+        ((1, 1), ()): QQ(1),
+        ((), (2,)): QQ(-2),
+        ((2,), ()): QQ(-2),
+    }
 
 
 def test_coproduct_is_multiplicative():
