@@ -136,6 +136,8 @@ def cmd_hilbert(args):
 
 def cmd_closure(args):
     _cap(args.degree, f"closure/{args.algebra}", "--degree")
+    if args.algebra == "bsym" and args.r != 2:
+        raise UsageError(f"closure bsym is the q-ring at r = 2, not --r {args.r}")
     results = []
     ok_all = True
     for n in range(args.degree + 1):

@@ -201,17 +201,17 @@ def specialize_bar(f: MrElement):
 # Type-B complete basis
 
 
-def bsym_complete(comp, ring=QQ) -> MrElement:
+def bsym_complete(comp) -> MrElement:
     """The type-B complete basis element of a type-B composition
-    (i_0, i_1, ..., i_r): S_{i_0} on the plain alphabet times the
+    (i_0, i_1, ..., i_r) over Q: S_{i_0} on the plain alphabet times the
     superizations (at q = -1) of S_{i_1}, ..., S_{i_r}."""
     comp = tuple(comp)
-    out = unit(ring)
+    out = unit(QQ)
     if comp and comp[0] != 0:
-        out = monomial(ring, ((comp[0], 0),))
-    q = ring(-1)
+        out = monomial(QQ, ((comp[0], 0),))
+    q = QQ(-1)
     for part in comp[1:]:
-        out = product(out, MrElement(ring, S, dict(_sharp_letter(q, (part, 0)))))
+        out = product(out, MrElement(QQ, S, dict(_sharp_letter(q, (part, 0)))))
     return out
 
 

@@ -108,19 +108,15 @@ def verify_descent_antimorphism(n: int):
     return not failures, failures
 
 
-def bsym_span(n: int, ring=QQ) -> GradedSubspace:
-    """Coordinate-tracked span of the type-B complete basis elements inside
-    the degree-n component of the level-2 algebra."""
+def bsym_span(n: int) -> GradedSubspace:
+    """Coordinate-tracked span over Q of the degree-n type-B complete basis
+    elements, labelled by their type-B compositions: of rank 2^n exactly
+    when they are independent."""
     from .combinatorics import colored_compositions
 
-    space = GradedSubspace(
-        ring, sorted(colored_compositions(n)), degree=n, track=True
-    )
+    space = GradedSubspace(QQ, sorted(colored_compositions(n)), degree=n, track=True)
     for comp in sorted(type_b_compositions(n)):
-        element = mr.bsym_complete(comp, ring)
-        grew = space.insert(element.terms, label=comp)
-        if not grew:
-            raise ArithmeticError(f"type-B basis element {comp} is dependent")
+        space.insert(mr.bsym_complete(comp).terms, label=comp)
     return space
 
 
@@ -128,10 +124,12 @@ def verify_signed_antimorphism(n: int):
     """Type-B analogue: expand the internal product of two type-B complete
     basis elements over that basis, map to contained-descent classes, and
     compare with the opposite product in the hyperoctahedral group algebra.
-    Returns (ok, failures), each failure naming its pair as ``"I * J"`` and
-    saying whether the product left the span or the images differ."""
+    Returns (ok, failures), each naming its pair as ``"I * J"`` and whether
+    the product left the span or the images differ (or a dependent basis)."""
     comps = list(type_b_compositions(n))
     span = bsym_span(n)
+    if span.rank < len(comps):
+        return False, ["the type-B complete basis elements are dependent"]
     classes = {I: descent_class_bn(n, I) for I in comps}
     elements = {I: mr.bsym_complete(I) for I in comps}
     failures = []

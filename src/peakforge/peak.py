@@ -16,10 +16,10 @@ from functools import cache
 
 from .algebra import S, internal
 from .combinatorics import colored_compositions, compositions
+from .combinatorics import format_composition, type_b_compositions
 from .linalg import GradedSubspace
 from .scalars import QQ, QQq, cyclotomic_field
-from . import mr
-from . import sym
+from . import mr, oracle, sym
 
 PEAK = "peak"
 UNITAL_PEAK = "unital-peak"
@@ -145,9 +145,9 @@ def _span(n: int, ring, keys, factors, lower) -> GradedSubspace:
     return space.freeze()
 
 
-def _letter_images(ring, n: int, element, transform, letters) -> list:
-    """(k, transform(x) at q = zeta_r) for the letters x of each size k,
-    k = 1..n in turn.
+def _letter_images(ring, n: int, element, table, letters) -> list:
+    """(k, image of x at q = zeta_r) for the letters x of each size k,
+    k = 1..n in turn, read from the transform's cached letter ``table``.
 
     Both transforms are algebra maps, so the image of a word x.w is
     transform(x) times the image of w: these factors times the image spans
@@ -155,7 +155,7 @@ def _letter_images(ring, n: int, element, transform, letters) -> list:
     keep the echelon rows sparse while the span fills, where large letters
     first leave dense partial rows to back-eliminate."""
     return [
-        (k, transform(element.monomial(ring, (x,)), ring.zeta))
+        (k, element(ring, S, dict(table(ring.zeta, x))))
         for k in range(1, n + 1)
         for x in letters(k)
     ]
@@ -167,7 +167,7 @@ def peak_subspace(n: int, r: int) -> GradedSubspace:
     Q(zeta_r)."""
     ring = cyclotomic_field(r)
     images = _letter_images(
-        ring, n, sym.SymElement, sym.one_minus_q_transform, lambda k: (k,)
+        ring, n, sym.SymElement, sym._one_minus_q_letter, lambda k: (k,)
     )
     return _span(n, ring, sorted(compositions(n)), images, peak_subspace)
 
@@ -186,7 +186,7 @@ def mr_sharp_subspace(n: int, r: int) -> GradedSubspace:
     over Q(zeta_r)."""
     ring = cyclotomic_field(r)
     images = _letter_images(
-        ring, n, mr.MrElement, mr.superization, lambda k: ((k, 0), (k, 1))
+        ring, n, mr.MrElement, mr._sharp_letter, lambda k: ((k, 0), (k, 1))
     )
     return _span(n, ring, sorted(colored_compositions(n)), images, mr_sharp_subspace)
 
@@ -243,21 +243,20 @@ def closure_check(sub: GradedSubspace, algebra: str, ideal: bool = False):
 
 
 def bsym_closure_check(n: int):
-    """Closure of the span of the type-B complete basis elements under the
-    internal product (q = -1 superization), over Q.  The witness names the
-    two type-B compositions of the first product that leaves the span."""
-    from .combinatorics import format_composition, type_b_compositions
+    """Closure of the type-B complete basis span under the internal product.
 
-    space = GradedSubspace(QQ, sorted(colored_compositions(n)), degree=n)
-    elements = {I: mr.bsym_complete(I) for I in sorted(type_b_compositions(n))}
-    for e in elements.values():
-        space.insert(e.terms)
-    for I, u in elements.items():
-        for J, v in elements.items():
-            prod = mr.internal_product(u, v)
-            if not space.contains(prod.terms):
-                return False, f"{format_composition(I)} * {format_composition(J)}"
-    return True, None
+    Lemma: if span(BSym) equals the r = 2 q-ring span V, BSym is closed
+    exactly when V is.  So this checks that every type-B element lies in V
+    (a witness names its type-B composition) and that the ranks agree (a
+    witness gives both), then returns ``closure_check(V, "mr")``."""
+    target = mr_sharp_module_subspace(n, 2)
+    for comp in sorted(type_b_compositions(n)):
+        if not target.contains(mr.bsym_complete(comp).terms):
+            return False, f"{format_composition(comp)} outside the q-ring span"
+    rank = oracle.bsym_span(n).rank
+    if rank != target.rank:
+        return False, f"type-B rank {rank} != q-ring rank {target.rank}"
+    return closure_check(target, "mr")
 
 
 # --------------------------------------------------------------------------

@@ -210,6 +210,7 @@ def test_invalid_flags_rejected(capsys):
         ["hilbert", "--algebra", "peak", "--r", "2", "--max-degree", "-1"],
         ["klyachko", "--n", "-1"],
         ["hilbert", "--algebra", "peak", "--r", "2", "--max-degree", "9"],
+        ["closure", "--algebra", "bsym", "--r", "7", "--degree", "1"],
         ["generators", "--max-degree", "2", "--out", str(Path(__file__).parent)],
         [
             "generators", "--max-degree", "2",
@@ -218,7 +219,7 @@ def test_invalid_flags_rejected(capsys):
     ],
     ids=[
         "r-zero", "r-negative", "bad-composition", "negative-degree", "negative-n", "cap",
-        "out-directory", "out-missing-directory",
+        "bsym-r", "out-directory", "out-missing-directory",
     ],
 )
 def test_misuse_is_a_usage_error(argv, capsys):

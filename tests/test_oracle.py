@@ -107,6 +107,22 @@ def test_bsym_span_full_rank():
         assert oracle.bsym_span(n).rank == 2**n
 
 
+def test_dependent_type_b_basis_is_a_failure(monkeypatch):
+    # a repeated basis element leaves the span one rank short: both checks
+    # report it as a failure, not an exception
+    from peakforge import peak
+
+    original = mr.bsym_complete
+    monkeypatch.setattr(
+        mr, "bsym_complete", lambda comp: original((2,) if comp == (1, 1) else comp)
+    )
+    assert oracle.bsym_span(2).rank == 3
+    assert oracle.verify_signed_antimorphism(2) == (
+        False, ["the type-B complete basis elements are dependent"]
+    )
+    assert peak.bsym_closure_check(2) == (False, "type-B rank 3 != q-ring rank 4")
+
+
 def test_signed_descent_class_span_matches_module_rank():
     # the contained-descent classes span a 2^n-dimensional subspace of the
     # group algebra, matching the degree-n module rank at a square root

@@ -3,8 +3,8 @@ from math import gcd
 
 import pytest
 
-from peakforge import mr, peak, sym
-from peakforge.combinatorics import colored_compositions, compositions
+from peakforge import mr, oracle, peak, sym
+from peakforge.combinatorics import colored_compositions, compositions, type_b_compositions
 from peakforge.linalg import GradedSubspace
 from peakforge.scalars import QQ, QQq, cyclotomic_field, specialize
 
@@ -132,12 +132,49 @@ def test_closure_witness_names_the_keys():
     assert peak.closure_check(sub, "mr", ideal=True) == (False, "1,1,1 * 1,-1,1")
 
 
-def test_bsym_closure_witness_names_the_compositions(monkeypatch):
-    # every product lands on a key outside the type-B span, so the first
-    # pair of type-B compositions fails
-    outside = mr.monomial(QQ, ((1, 0), (1, 0)))
-    monkeypatch.setattr(mr, "internal_product", lambda u, v: outside)
-    assert peak.bsym_closure_check(2) == (False, "0,1,1 * 0,1,1")
+def test_bsym_is_the_q_ring_at_r2():
+    # every type-B complete basis element lies in the r = 2 q-ring span V(n),
+    # and both spans have rank 2^n: they are one span
+    for n in range(7):
+        target = peak.mr_sharp_module_subspace(n, 2)
+        for comp in type_b_compositions(n):
+            assert target.contains(mr.bsym_complete(comp).terms), (n, comp)
+        assert oracle.bsym_span(n).rank == target.rank == 2**n
+
+
+_OUTSIDE = {((1, 0), (1, 0)): 1}  # outside V(2)
+
+
+def test_bsym_check_names_an_element_outside_the_q_ring(monkeypatch):
+    original = mr.bsym_complete
+    moved = mr.MrElement(QQ, mr.S, _OUTSIDE)
+    monkeypatch.setattr(
+        mr, "bsym_complete", lambda comp: moved if comp == (1, 1) else original(comp)
+    )
+    assert peak.bsym_closure_check(2) == (False, "1,1 outside the q-ring span")
+
+
+def test_bsym_check_fails_on_a_q_ring_span_of_another_rank(monkeypatch):
+    full = peak.mr_sharp_module_subspace(2, 2)
+    assert not full.contains(_OUTSIDE)
+    short = _without_first_row(full)
+    monkeypatch.setattr(peak, "mr_sharp_module_subspace", lambda n, r: short)
+    assert peak.bsym_closure_check(2) == (False, "0,1,1 outside the q-ring span")
+    # one row over: every type-B element still lies inside, the ranks differ
+    over = GradedSubspace(full.ring, full.keys, degree=2)
+    for row in full.basis() + [_OUTSIDE]:
+        over.insert(row)
+    monkeypatch.setattr(peak, "mr_sharp_module_subspace", lambda n, r: over)
+    assert peak.bsym_closure_check(2) == (False, "type-B rank 4 != q-ring rank 5")
+
+
+def test_bsym_closure_failure_is_the_q_ring_witness(monkeypatch):
+    # every product lands outside the shared span: both routes name the
+    # same pair of pivot keys
+    monkeypatch.setattr(peak, "internal", lambda *args: _OUTSIDE)
+    witness = (False, "1,1 * 1,1")
+    assert peak.closure_check(peak.mr_sharp_module_subspace(2, 2), "mr") == witness
+    assert peak.bsym_closure_check(2) == witness
 
 
 def test_mr_sharp_dimensions_small():
