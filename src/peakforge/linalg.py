@@ -7,6 +7,14 @@ pivot coefficients are rescaled to one after every reduction, and every row
 is reduced against all the others, so rank and membership queries are exact
 and the stored basis is canonical.
 
+A new pivot is back-eliminated only from the rows that may hold its
+column.  While a span can grow it keeps a column index: each ambient
+non-pivot column maps to a superset of the pivots of the rows holding it.
+Only such a column can become a pivot, since every stored row is zero at
+every other pivot and label columns are never pivots.  Entries that
+cancel leave stale pivots in the index, which a visit skips.
+:meth:`GradedSubspace.freeze` releases the index.
+
 Every elimination step is one ``target -= c * row``.  A span picks its
 kernel for that step once, from its ring: over Q(zeta_r) of degree 1 or 2
 (r = 1, 2, 3, 4, 6), and over Q held as Q(zeta_1), it is
@@ -50,7 +58,10 @@ class GradedSubspace:
     ambient ones, set to one in the vector it labels, so elimination
     carries the combinations along and pivots stay ambient.
 
-    :meth:`freeze` makes a span read-only, for spans shared by a cache.
+    ``_holders`` is the column index of the module docstring: ambient
+    non-pivot column -> a superset of the pivots of the rows holding it.
+    :meth:`freeze` makes a span read-only, for spans shared by a cache,
+    and releases the index.
     """
 
     def __init__(self, ring, ambient_keys, degree=None, track=False):
@@ -63,6 +74,7 @@ class GradedSubspace:
                 raise ValueError(f"duplicate ambient key {k!r}")
             self._index[k] = i
         self._rows: dict[int, dict] = {}
+        self._holders: dict[int, set] | None = {}
         # the field the rows are stored in: Q is held as Q(zeta_1)
         self._field = field = cyclotomic_field(1) if ring is QQ else ring
         if isinstance(field, CyclotomicField) and field.degree <= 2:
@@ -79,8 +91,10 @@ class GradedSubspace:
         self._frozen = False
 
     def freeze(self) -> GradedSubspace:
-        """Make later inserts raise; return the span itself."""
+        """Make later inserts raise and release the column index; return
+        the span itself."""
         self._frozen = True
+        self._holders = None
         return self
 
     @property
@@ -131,15 +145,29 @@ class GradedSubspace:
         pivot = self._reduce(v)
         if pivot is None:
             return False
-        inv = self._field.one / v[pivot]
-        row = {j: c * inv for j, c in v.items()}
-        row[pivot] = self._field.one
-        # back-eliminate the new pivot from the existing rows
-        for other in self._rows.values():
+        # a unit pivot keeps v as the row, with no inverse and no copy; the
+        # pivot entry becomes the field's one, so no row keeps an equal copy
+        one = self._field.one
+        row = v
+        if v[pivot] != one:
+            inv = one / v[pivot]
+            row = {j: c * inv for j, c in v.items()}
+        row[pivot] = one
+        # back-eliminate the new pivot from the rows that may hold it; each
+        # row changed, and the new one, may now hold every column of row
+        rows, holders = self._rows, self._holders
+        changed = [pivot]
+        for p in holders.pop(pivot, ()):
+            other = rows[p]
             c = other.get(pivot)
             if c is not None:
                 self._subtract(other, c, row)
-        self._rows[pivot] = row
+                changed.append(p)
+        n = len(self.keys)
+        for j in row:
+            if j != pivot and j < n:
+                holders.setdefault(j, set()).update(changed)
+        rows[pivot] = row
         return True
 
     def contains(self, vec) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .algebra import S, internal
+from .algebra import internal
 from .combinatorics import colored_compositions, compositions
 from .combinatorics import format_composition, type_b_compositions
 from .linalg import GradedSubspace
@@ -131,23 +131,31 @@ def conjectured_generator_count(n: int, r: int) -> int:
 
 
 def _span(n: int, ring, keys, factors, lower) -> GradedSubspace:
-    """Degree-n span over ``ring`` = Q(zeta_r) of f * b for each (k, f) in
-    ``factors``, f of degree k, and each echelon row b of the degree-(n-k)
-    span ``lower(n - k, r)``; the span of 1 at degree 0.  Frozen, since the
-    cached builders share it with every caller."""
+    """Degree-n span over ``ring`` = Q(zeta_r) of f * b for each (k, terms f)
+    in ``factors``, f homogeneous of degree k, and each echelon row b of the
+    degree-(n-k) span ``lower(n - k, r)``; the span of 1 at degree 0.
+    Frozen, since the cached builders share it with every caller.
+
+    Lemma: f * b = {a + w: x * y for a, x in f for w, y in b}, with no key
+    met twice and no zero value.  Every letter has positive degree, so a
+    word of degree n has exactly one prefix of degree k: a + w = a' + w'
+    with a, a' of degree k forces a = a' and w = w'.  The values are
+    products of two nonzero field elements, so none is zero.  The product
+    is therefore inserted as it is, without ``algebra.word_product``."""
     space = GradedSubspace(ring, keys, degree=n)
     if not n:
         space.insert({(): ring.one})
         return space.freeze()
     for k, f in factors:
         for row in lower(n - k, ring.order).basis():
-            space.insert((f * type(f)(ring, S, row)).terms)
+            space.insert({a + w: x * y for a, x in f.items() for w, y in row.items()})
     return space.freeze()
 
 
-def _letter_images(ring, n: int, element, table, letters) -> list:
-    """(k, image of x at q = zeta_r) for the letters x of each size k,
-    k = 1..n in turn, read from the transform's cached letter ``table``.
+def _letter_images(ring, n: int, table, letters) -> list:
+    """(k, terms of the image of x at q = zeta_r) for the letters x of each
+    size k, k = 1..n in turn, read from the transform's cached letter
+    ``table``, without zero coefficients.
 
     Both transforms are algebra maps, so the image of a word x.w is
     transform(x) times the image of w: these factors times the image spans
@@ -155,7 +163,7 @@ def _letter_images(ring, n: int, element, table, letters) -> list:
     keep the echelon rows sparse while the span fills, where large letters
     first leave dense partial rows to back-eliminate."""
     return [
-        (k, element(ring, S, dict(table(ring.zeta, x))))
+        (k, {key: c for key, c in table(ring.zeta, x) if c})
         for k in range(1, n + 1)
         for x in letters(k)
     ]
@@ -166,9 +174,7 @@ def peak_subspace(n: int, r: int) -> GradedSubspace:
     """Degree-n span of the (1-q) images of the complete words, over
     Q(zeta_r)."""
     ring = cyclotomic_field(r)
-    images = _letter_images(
-        ring, n, sym.SymElement, sym._one_minus_q_letter, lambda k: (k,)
-    )
+    images = _letter_images(ring, n, sym._one_minus_q_letter, lambda k: (k,))
     return _span(n, ring, sorted(compositions(n)), images, peak_subspace)
 
 
@@ -176,7 +182,7 @@ def peak_subspace(n: int, r: int) -> GradedSubspace:
 def unital_peak_subspace(n: int, r: int) -> GradedSubspace:
     """Degree-n span of S_k times the degree-(n-k) peak subspace."""
     ring = cyclotomic_field(r)
-    units = [(k, sym.monomial(ring, (k,) if k else ())) for k in range(n + 1)]
+    units = [(k, {(k,) if k else (): ring.one}) for k in range(n + 1)]
     return _span(n, ring, sorted(compositions(n)), units, peak_subspace)
 
 
@@ -185,9 +191,7 @@ def mr_sharp_subspace(n: int, r: int) -> GradedSubspace:
     """Degree-n span of the q-superizations of the colored complete words,
     over Q(zeta_r)."""
     ring = cyclotomic_field(r)
-    images = _letter_images(
-        ring, n, mr.MrElement, mr._sharp_letter, lambda k: ((k, 0), (k, 1))
-    )
+    images = _letter_images(ring, n, mr._sharp_letter, lambda k: ((k, 0), (k, 1)))
     return _span(n, ring, sorted(colored_compositions(n)), images, mr_sharp_subspace)
 
 
@@ -196,7 +200,7 @@ def mr_sharp_module_subspace(n: int, r: int) -> GradedSubspace:
     """Degree-n span of S_k (plain alphabet) times the degree-(n-k)
     superization image."""
     ring = cyclotomic_field(r)
-    units = [(k, mr.monomial(ring, ((k, 0),) if k else ())) for k in range(n + 1)]
+    units = [(k, {((k, 0),) if k else (): ring.one}) for k in range(n + 1)]
     return _span(n, ring, sorted(colored_compositions(n)), units, mr_sharp_subspace)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from peakforge import linalg
 from peakforge.linalg import GradedSubspace
-from peakforge.scalars import QQ, Cyclo, cyclotomic_field
+from peakforge.scalars import QQ, QQq, Cyclo, cyclotomic_field
 
 
 def _space(track=False):
@@ -332,3 +332,92 @@ def test_rational_span_matches_the_fraction_kernel():
             assert span.to_json() == reference.to_json()
         assert all(type(c) is Fraction for row in span.basis() for c in row.values())
         assert span.ring is QQ
+
+
+class _FullScanSpan(GradedSubspace):
+    """The reference for the column index: back-eliminates a new pivot by
+    scanning every stored row."""
+
+    def insert(self, vec, label=None):
+        v = self._indexed(vec)
+        if self._labels is not None:
+            if label is None:
+                label = len(self._labels)
+            column = self._labels.setdefault(label, len(self.keys) + len(self._labels))
+            v[column] = self._field.one
+        pivot = self._reduce(v)
+        if pivot is None:
+            return False
+        inv = self._field.one / v[pivot]
+        row = {j: c * inv for j, c in v.items()}
+        for other in self._rows.values():
+            c = other.get(pivot)
+            if c is not None:
+                self._subtract(other, c, row)
+        self._rows[pivot] = row
+        return True
+
+
+def _index_vectors(rng, ring, gen, n):
+    """Sparse vectors over ``ring``, entries a rational part plus a multiple
+    of a power of ``gen``, sometimes over gen + 2; every third is a
+    combination of earlier ones, often with one entry cancelled, so that
+    inserts both grow the span and fail to."""
+
+    def entry():
+        c = ring(Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))))
+        c = c + rng.randint(-1, 1) * gen ** rng.randint(1, 2)
+        return c / (gen + 2) if rng.random() < 0.2 else c
+
+    out = []
+    for i in range(2 * n):
+        if out and i % 3 == 2:
+            v = {}
+            for w in rng.sample(out, min(len(out), 3)):
+                c = entry() or ring(1)
+                for k, a in w.items():
+                    v[k] = v.get(k, ring(0)) + c * a
+            if v and rng.random() < 0.5:
+                v.pop(rng.choice(sorted(v)))
+        else:
+            v = {k: entry() for k in rng.sample(range(n), rng.randint(1, 4))}
+        out.append(v)
+    return out
+
+
+_Q3, _Q5 = cyclotomic_field(3), cyclotomic_field(5)
+
+
+@pytest.mark.parametrize("track", [False, True], ids=["plain", "track"])
+@pytest.mark.parametrize(
+    "ring, gen",
+    [(QQ, 1), (_Q3, _Q3.zeta), (_Q5, _Q5.zeta), (QQq, QQq.q)],
+    ids=["Q", "Q(zeta_3)", "Q(zeta_5)", "Q(q)"],
+)
+def test_column_index_matches_the_full_scan(ring, gen, track):
+    for seed in range(6):
+        rng = random.Random(seed)
+        n = rng.randint(5, 10)
+        span = GradedSubspace(ring, range(n), track=track)
+        reference = _FullScanSpan(ring, range(n), track=track)
+        vectors = _index_vectors(rng, ring, gen, n)
+        for label, v in enumerate(vectors):
+            assert span.insert(v, label=label) == reference.insert(v, label=label)
+            assert span.rank == reference.rank
+            assert span.pivot_keys() == reference.pivot_keys()
+            assert span.basis() == reference.basis()
+            # a superset: every ambient non-pivot entry of a row is indexed,
+            # and no pivot column is
+            for pivot, row in span._rows.items():
+                for j in row:
+                    if j != pivot and j < n:
+                        assert pivot in span._holders[j]
+            assert not set(span._holders) & set(span._rows)
+        if track:
+            for probe in vectors + _index_vectors(rng, ring, gen, n)[:4]:
+                assert span.coordinates(probe) == reference.coordinates(probe)
+        assert span.freeze() is span
+        assert span._holders is None
+        with pytest.raises(TypeError):
+            span.insert(vectors[0])
+        assert span.basis() == reference.basis()

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 from peakforge import mr, oracle, peak, sym
+from peakforge.algebra import S
 from peakforge.combinatorics import colored_compositions, compositions, type_b_compositions
 from peakforge.linalg import GradedSubspace
 from peakforge.scalars import QQ, QQq, cyclotomic_field, specialize
@@ -213,6 +214,31 @@ def test_letter_recursion_spans_the_image_of_every_word(
             reference = _image_of_every_word(
                 n, r, sorted(keys(n)), element, transform
             )
+            assert builder(n, r).basis() == reference.basis(), (r, n)
+
+
+@pytest.mark.parametrize(
+    "builder, image, element, keys, unit",
+    [
+        (peak.unital_peak_subspace, peak.peak_subspace, sym.SymElement,
+         compositions, lambda k: (k,)),
+        (peak.mr_sharp_module_subspace, peak.mr_sharp_subspace, mr.MrElement,
+         colored_compositions, lambda k: ((k, 0),)),
+    ],
+    ids=["unital-peak", "mrsharp-module"],
+)
+def test_unit_products_span_the_module(builder, image, element, keys, unit):
+    # reference: S_k times every row of the degree-(n-k) image span through
+    # the algebra product, k = 0..n (S_0 = 1)
+    for r in range(1, 5):
+        ring = cyclotomic_field(r)
+        for n in range(6):
+            reference = GradedSubspace(ring, sorted(keys(n)), degree=n)
+            for k in range(n + 1):
+                s_k = element.monomial(ring, unit(k) if k else ())
+                for row in image(n - k, r).basis():
+                    product = s_k * element(ring, S, row)
+                    reference.insert(product.terms)
             assert builder(n, r).basis() == reference.basis(), (r, n)
 
 
