@@ -115,12 +115,17 @@ class Element:
         )
 
     def __eq__(self, other):
+        """Equal terms in one basis, compared in the common field of the two
+        rings; elements over rings with no common field are unequal."""
         if type(other) is not type(self):
             return NotImplemented
         if other.basis != self.basis:
             return False
-        a, b = self._aligned(other)
-        return a.terms == b.terms
+        try:
+            ring = common_ring(self.ring, other.ring)
+        except TypeError:
+            return False
+        return self.with_ring(ring).terms == other.with_ring(ring).terms
 
     def __add__(self, other):
         a, b = self._aligned(other)
@@ -213,6 +218,12 @@ class WordElement(Element):
         if isinstance(other, WordElement):
             return word_product(self, other)
         return self.scaled(other)
+
+    def __eq__(self, other):
+        # the bases S and R span the same algebra
+        if type(other) is type(self):
+            other = other.convert(self.basis)
+        return super().__eq__(other)
 
     def convert(self, basis):
         """Re-express the element in another basis, through S; round-trips

@@ -15,18 +15,17 @@ every other pivot and label columns are never pivots.  Entries that
 cancel leave stale pivots in the index, which a visit skips.
 :meth:`GradedSubspace.freeze` releases the index.
 
-Every elimination step is one ``target -= c * row``.  A span picks its
-kernel for that step once, from its ring: over Q(zeta_r) of degree 1 or 2
-(r = 1, 2, 3, 4, 6), and over Q held as Q(zeta_1), it is
+Every elimination step is one ``target -= c * row``, and a span stores
+its entries in its own ring.  It picks its kernel for that step once, from
+the ring: over Q(zeta_r) of degree 1 or 2 (r = 1, 2, 3, 4, 6) it is
 :func:`~peakforge.scalars.cyclo_subtract_multiple`, which works on the
-integer vectors of the entries; over Q(q) and the cyclotomic fields of
+integer vectors of the entries; over Q, Q(q) and the cyclotomic fields of
 degree 3 or more it is the generic :func:`_subtract_multiple`.
 """
 
 from __future__ import annotations
 
-from .scalars import QQ, Cyclo, CyclotomicField, cyclo_subtract_multiple
-from .scalars import cyclotomic_field, scalar_str
+from .scalars import Cyclo, CyclotomicField, cyclo_subtract_multiple, scalar_str
 
 
 def _subtract_multiple(target: dict, c, row: dict):
@@ -75,17 +74,13 @@ class GradedSubspace:
             self._index[k] = i
         self._rows: dict[int, dict] = {}
         self._holders: dict[int, set] | None = {}
-        # the field the rows are stored in: Q is held as Q(zeta_1)
-        self._field = field = cyclotomic_field(1) if ring is QQ else ring
-        if isinstance(field, CyclotomicField) and field.degree <= 2:
+        if isinstance(ring, CyclotomicField) and ring.degree <= 2:
             self._subtract = cyclo_subtract_multiple
         else:
             self._subtract = _subtract_multiple
-        # entries of the field's own type skip coercion in _indexed: a
-        # RatFunc over Q(q), a Cyclo of this very field; over Q the rest go
-        # through QQ first, which refuses every Cyclo
-        self._native = type(field.one)
-        self._coerce = (lambda c: field(QQ(c))) if ring is QQ else ring
+        # entries of the ring's own type skip coercion in _indexed: a
+        # Fraction over Q, a RatFunc over Q(q), a Cyclo of this very field
+        self._native = type(ring.one)
         # label -> its coordinate, numbered on from the ambient ones
         self._labels: dict | None = {} if track else None
         self._frozen = False
@@ -105,10 +100,9 @@ class GradedSubspace:
         out = {}
         ring = self.ring
         native = self._native
-        coerce = self._coerce
         for key, c in vec.items():
             if type(c) is not native or (native is Cyclo and c.field is not ring):
-                c = coerce(c)
+                c = ring(c)
             if c:
                 try:
                     out[self._index[key]] = c
@@ -141,13 +135,13 @@ class GradedSubspace:
             if label is None:
                 label = len(self._labels)
             column = self._labels.setdefault(label, len(self.keys) + len(self._labels))
-            v[column] = self._field.one
+            v[column] = self.ring.one
         pivot = self._reduce(v)
         if pivot is None:
             return False
         # a unit pivot keeps v as the row, with no inverse and no copy; the
-        # pivot entry becomes the field's one, so no row keeps an equal copy
-        one = self._field.one
+        # pivot entry becomes the ring's one, so no row keeps an equal copy
+        one = self.ring.one
         row = v
         if v[pivot] != one:
             inv = one / v[pivot]
@@ -185,22 +179,17 @@ class GradedSubspace:
         # numbered in insertion order
         labels = list(self._labels)
         n = len(self.keys)
-        return {labels[j - n]: self._value(-c) for j, c in v.items()}
+        return {labels[j - n]: -c for j, c in v.items()}
 
     def basis(self):
         """Echelon rows as key-indexed dicts in ambient key order, sorted by
         pivot."""
         n = len(self.keys)
         out = []
-        value = self._value
         for pivot in sorted(self._rows):
             row = self._rows[pivot]
-            out.append({self.keys[j]: value(c) for j, c in sorted(row.items()) if j < n})
+            out.append({self.keys[j]: c for j, c in sorted(row.items()) if j < n})
         return out
-
-    def _value(self, c):
-        """A stored entry as a value of the span's ring: a Fraction over Q."""
-        return c.coeffs[0] if self.ring is QQ else c
 
     def pivot_keys(self):
         return [self.keys[i] for i in sorted(self._rows)]

@@ -110,20 +110,10 @@ def sharp_module_candidates(r: int, n_max: int) -> dict:
 def conjectured_generator_count(n: int, r: int) -> int:
     """Number of 2-colored compositions of n whose color-0 parts are not
     divisible by r and, for even r, whose color-1 parts are not congruent
-    to r/2 mod r."""
-    count = 0
-    for jc in colored_compositions(n):
-        ok = True
-        for size, color in jc:
-            if color == 0 and size % r == 0:
-                ok = False
-                break
-            if r % 2 == 0 and color == 1 and size % r == r // 2:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    to r/2 mod r: the coefficient of t^n in 1/(1 - sum a_s t^s), where a_s
+    is the number of colors a part of size s may take."""
+    colors = [(s % r != 0) + (r % 2 == 1 or s % r != r // 2) for s in range(1, n + 1)]
+    return series_coefficients([1], [1] + [-a for a in colors], n)[n]
 
 
 # --------------------------------------------------------------------------
@@ -140,7 +130,7 @@ def _span(n: int, ring, keys, factors, lower) -> GradedSubspace:
     met twice and no zero value.  Every letter has positive degree, so a
     word of degree n has exactly one prefix of degree k: a + w = a' + w'
     with a, a' of degree k forces a = a' and w = w'.  The values are
-    products of two nonzero field elements, so none is zero.  The product
+    products of two nonzero scalars, so none is zero.  The product
     is therefore inserted as it is, without ``algebra.word_product``."""
     space = GradedSubspace(ring, keys, degree=n)
     if not n:
@@ -182,7 +172,7 @@ def peak_subspace(n: int, r: int) -> GradedSubspace:
 def unital_peak_subspace(n: int, r: int) -> GradedSubspace:
     """Degree-n span of S_k times the degree-(n-k) peak subspace."""
     ring = cyclotomic_field(r)
-    units = [(k, {(k,) if k else (): ring.one}) for k in range(n + 1)]
+    units = [(k, {(k,) if k else (): 1}) for k in range(n + 1)]
     return _span(n, ring, sorted(compositions(n)), units, peak_subspace)
 
 
@@ -200,7 +190,7 @@ def mr_sharp_module_subspace(n: int, r: int) -> GradedSubspace:
     """Degree-n span of S_k (plain alphabet) times the degree-(n-k)
     superization image."""
     ring = cyclotomic_field(r)
-    units = [(k, {((k, 0),) if k else (): ring.one}) for k in range(n + 1)]
+    units = [(k, {((k, 0),) if k else (): 1}) for k in range(n + 1)]
     return _span(n, ring, sorted(colored_compositions(n)), units, mr_sharp_subspace)
 
 

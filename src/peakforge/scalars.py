@@ -6,9 +6,8 @@ Three coefficient fields are supported, all exact:
 * ``QQq`` -- the field Q(q) of rational functions in one indeterminate,
   whose elements are :class:`RatFunc`: a numerator and a denominator in
   Z[q] (dense integer coefficient tuples) with gcd one in Z[q] and a
-  positive leading denominator coefficient; products cancel across the
-  factors and sums take one gcd against the factor the denominators share
-  (Henrici's gcd split);
+  positive leading denominator coefficient; sums and products are the
+  textbook fractions, reduced by one gcd unless both denominators are 1;
 * ``cyclotomic_field(r)`` -- Q(zeta_r) = Q[x]/Phi_r(x), whose elements are
   :class:`Cyclo` integer coefficient vectors of length phi(r) over a common
   denominator.  Each field holds one table, x^j mod Phi_r for j < r, which
@@ -150,9 +149,6 @@ def _int_mul(a, b):
 
 def _int_divexact(a, b):
     """a / b in Z[q], for a nonzero b that divides a there."""
-    if len(b) == 1:
-        c = b[0]
-        return a if c == 1 else tuple(x // c for x in a)
     nb = len(b) - 1
     lb = b[-1]
     low = b[:-1]
@@ -280,6 +276,10 @@ class RatFunc(_FieldElement):
     in Z[q], so they share neither a polynomial factor nor an integer
     content; the leading coefficient of D is positive; zero is () over (1,).
 
+    A sum is (n1*d2 + n2*d1)/(d1*d2) and a product (n1*n2)/(d1*d2), each
+    divided by the gcd of its numerator and denominator; when both
+    denominators are 1 the result is already canonical and takes no gcd.
+
     ``num`` and ``den`` give the same value with a monic denominator, as
     tuples of Fraction.  Construct values from ``QQq.q`` by arithmetic
     rather than calling this constructor directly.
@@ -350,24 +350,10 @@ class RatFunc(_FieldElement):
                 return NotImplemented
         n1, d1 = self._num, self._den
         n2, d2 = other._num, other._den
-        if not n1:
-            return other
-        if not n2:
-            return self
-        if d1 == d2:
-            n = _padd(n1, n2)
-            if not n:
-                return _ratfunc((), _Z1)
-            if d1 == _Z1:
-                return _ratfunc(n, _Z1)
-            return _ratfunc(*_int_cancel(n, d1))
-        # with g = gcd(d1, d2) and d_i = g*e_i, the sum is
-        # (n1*e2 + n2*e1) / (g*e1*e2); the numerator is coprime to e1 and
-        # e2, so only g can share a factor with it
-        g = _int_gcd(d1, d2)
-        e1, e2 = _int_divexact(d1, g), _int_divexact(d2, g)
-        n, g = _int_cancel(_padd(_int_mul(n1, e2), _int_mul(n2, e1)), g)
-        return _ratfunc(n, _int_mul(_int_mul(g, e1), e2))
+        if d1 == _Z1 and d2 == _Z1:
+            return _ratfunc(_padd(n1, n2), _Z1)
+        n = _padd(_int_mul(n1, d2), _int_mul(n2, d1))
+        return _ratfunc(*_int_cancel(n, _int_mul(d1, d2)))
 
     __radd__ = __add__
 
@@ -376,17 +362,11 @@ class RatFunc(_FieldElement):
             other = RatFunc._coerce(other)
             if other is None:
                 return NotImplemented
-        n1, d1 = self._num, self._den
-        n2, d2 = other._num, other._den
-        if not n1 or not n2:
-            return _ratfunc((), _Z1)
-        # cancel across the two factors; each factor is canonical, so the
-        # product of the cancelled parts is too and needs no second gcd
-        if d2 != _Z1:
-            n1, d2 = _int_cancel(n1, d2)
-        if d1 != _Z1:
-            n2, d1 = _int_cancel(n2, d1)
-        return _ratfunc(_int_mul(n1, n2), _int_mul(d1, d2))
+        n = _int_mul(self._num, other._num)
+        d1, d2 = self._den, other._den
+        if d1 == _Z1 and d2 == _Z1:
+            return _ratfunc(n, _Z1)
+        return _ratfunc(*_int_cancel(n, _int_mul(d1, d2)))
 
     __rmul__ = __mul__
 

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 from math import inf
 
-from peakforge import algebra, mr, sym
+from peakforge import algebra, mr, oracle, sym
 from peakforge.combinatorics import colored_compositions, compositions
 from peakforge.scalars import QQ, Cyclo, QQq, cyclotomic_field
 
@@ -281,3 +281,32 @@ def test_rational_times_cyclotomic_product():
     assert all(type(c) is Cyclo for c in out.terms.values())
     assert out == sym.internal_product(f.with_ring(field), g)
     assert out == sym.monomial(field, (1, 1), field.zeta * Fraction(4, 3))
+
+
+def test_word_elements_compare_across_bases():
+    # S_2 = R_2, while S_(1,1) = R_(1,1) + R_2
+    assert sym.monomial(QQ, (2,), basis=sym.S) == sym.monomial(QQ, (2,), basis=sym.R)
+    assert sym.monomial(QQ, (2,), basis=sym.R) == sym.monomial(QQ, (2,), basis=sym.S)
+    assert sym.monomial(QQ, (1, 1), basis=sym.S) != sym.monomial(QQ, (1, 1), basis=sym.R)
+    s11 = sym.monomial(QQ, (1, 1), basis=sym.S)
+    assert s11 == sym.monomial(QQ, (1, 1), basis=sym.R) + sym.monomial(QQ, (2,), basis=sym.R)
+    letter = ((2, 1),)
+    assert mr.monomial(QQ, letter, basis=mr.S) == mr.monomial(QQ, letter, basis=mr.R)
+
+
+def test_elements_over_rings_with_no_common_field_are_unequal():
+    field = cyclotomic_field(3)
+    assert (field.one == QQq.one) is False
+    cyclotomic, symbolic = sym.unit(field), sym.unit(QQq)
+    assert (cyclotomic == symbolic) is False
+    assert (symbolic == cyclotomic) is False
+    assert cyclotomic != symbolic
+    # Q embeds in both, so a rational element still compares by value
+    assert sym.unit(QQ) == cyclotomic and sym.unit(QQ) == symbolic
+
+
+def test_elements_of_different_groups_stay_unequal():
+    sn = oracle.delta(QQ, (1,), oracle.SYMMETRIC)
+    bn = oracle.delta(QQ, (1,), oracle.HYPEROCTAHEDRAL)
+    assert sn != bn and bn != sn
+    assert sn == oracle.delta(QQ, (1,), oracle.SYMMETRIC)

@@ -264,6 +264,26 @@ def test_sharp_module_report_r2():
     assert any(not m for m in matches.values())
 
 
+def _enumerated_generator_count(n: int, r: int) -> int:
+    """The reference count: every 2-colored composition of n, kept when no
+    color-0 part is divisible by r and, for even r, no color-1 part is
+    congruent to r/2 mod r."""
+    return sum(
+        all(
+            not (color == 0 and size % r == 0)
+            and not (r % 2 == 0 and color == 1 and size % r == r // 2)
+            for size, color in jc
+        )
+        for jc in colored_compositions(n)
+    )
+
+
+def test_generator_count_series_matches_the_enumeration():
+    for r in range(1, 9):
+        counts = [peak.conjectured_generator_count(n, r) for n in range(10)]
+        assert counts == [_enumerated_generator_count(n, r) for n in range(10)], r
+
+
 def test_conjectured_generator_counts():
     for r in (2, 3, 4):
         _, predicted = peak.predicted_dimensions(peak.MR_SHARP, r, 8)
