@@ -114,16 +114,27 @@ class Element:
             bound=self.bound,
         )
 
+    def convert(self, basis):
+        """The element in ``basis``.  The base class knows only its own basis:
+        its tags may name different algebras (the group algebras of Sn and
+        Bn), with no change of basis between them.  Subclasses whose bases
+        span one algebra override this."""
+        if basis != self.basis:
+            raise ValueError(f"no change of basis from {self.basis} to {basis}")
+        return self
+
     def __eq__(self, other):
-        """Equal terms in one basis, compared in the common field of the two
-        rings; elements over rings with no common field are unequal."""
+        """Equality of elements.  A change of basis is a linear bijection,
+        so two elements are equal exactly when their expansions over one
+        basis agree: the right operand is converted to this basis, and the
+        terms are compared in the common field of the two rings.  Elements
+        with no common basis or field are unequal."""
         if type(other) is not type(self):
             return NotImplemented
-        if other.basis != self.basis:
-            return False
         try:
+            other = other.convert(self.basis)
             ring = common_ring(self.ring, other.ring)
-        except TypeError:
+        except (TypeError, ValueError):
             return False
         return self.with_ring(ring).terms == other.with_ring(ring).terms
 
@@ -218,12 +229,6 @@ class WordElement(Element):
         if isinstance(other, WordElement):
             return word_product(self, other)
         return self.scaled(other)
-
-    def __eq__(self, other):
-        # the bases S and R span the same algebra
-        if type(other) is type(self):
-            other = other.convert(self.basis)
-        return super().__eq__(other)
 
     def convert(self, basis):
         """Re-express the element in another basis, through S; round-trips

@@ -3,13 +3,14 @@
 Keys are permutations (one-line words).  F_sigma = G_{sigma inverse}; the
 degreewise internal product is composition of permutations on the F basis.
 The monomial basis is pinned by the 0-1 transition G_pi = sum of M_sigma
-over sigma with pi below the inverse of sigma in right weak order.  Both
-directions read one cached table per degree, sigma -> the inversion mask of
-sigma inverse.  G -> M counts, for each sigma, how many terms of each
-coefficient lie below the inverse of sigma, with a few bit-table reads per
-sigma (see :func:`g_to_m`); M -> G is ascending-length elimination.  Only
-the internal (degreewise) product is implemented; the outer shifted-shuffle
-product is out of scope here.
+over sigma with pi below the inverse of sigma in right weak order, as in
+Aguiar and Sottile (Adv. Math. 191 (2005)), who define M from G by Moebius
+inversion on the weak order.  G -> M counts, for each sigma, how many terms
+of each coefficient lie below the inverse of sigma, with a few bit-table
+reads per sigma (see :func:`g_to_m`); M -> G reads the weak order's Moebius
+function, which is explicit (see :func:`m_to_g`).  Only the internal
+(degreewise) product is implemented; the outer shifted-shuffle product is
+out of scope here.
 """
 
 from __future__ import annotations
@@ -33,6 +34,19 @@ class FqsymElement(Element):
     bases = (G, F, M)
     key_degree = staticmethod(len)
 
+    def convert(self, basis):
+        """Re-express the element in another basis, through G: F_sigma is
+        G_{sigma inverse}, and :func:`m_to_g` inverts :func:`g_to_m`."""
+        if basis == self.basis:
+            return self
+        if self.basis == F:
+            return _invert_keys(self, G).convert(basis)
+        if self.basis == M:
+            return m_to_g(self).convert(basis)
+        if basis == F:
+            return _invert_keys(self, F)
+        return g_to_m(self) if basis == M else Element.convert(self, basis)
+
 
 def monomial(ring, key, coeff=1, basis=G) -> FqsymElement:
     return FqsymElement.monomial(ring, tuple(key), coeff, basis=basis)
@@ -45,18 +59,6 @@ def _invert_keys(f: FqsymElement, new_basis: str) -> FqsymElement:
         {inverse(p): c for p, c in f.terms.items()},
         bound=f.bound,
     )
-
-
-def g_to_f(f: FqsymElement) -> FqsymElement:
-    if f.basis != G:
-        raise ValueError("expected a G-basis element")
-    return _invert_keys(f, F)
-
-
-def f_to_g(f: FqsymElement) -> FqsymElement:
-    if f.basis != F:
-        raise ValueError("expected an F-basis element")
-    return _invert_keys(f, G)
 
 
 def _by_degree(terms: dict) -> dict:
@@ -132,44 +134,36 @@ def g_to_m(f: FqsymElement) -> FqsymElement:
 
 
 def m_to_g(f: FqsymElement) -> FqsymElement:
-    """Inverse of :func:`g_to_m`, by ascending-length elimination along the
-    right weak order."""
+    """Inverse of :func:`g_to_m`, by Moebius inversion on the right weak
+    order: G_pi sums M_sigma over the tau = sigma inverse at or above pi,
+    and mu(tau, pi) is (-1)^|J| when pi = tau w0(J) for a set J of ascent
+    positions of tau, zero otherwise (Bjoerner and Brenti, Combinatorics of
+    Coxeter Groups, Ch. 3).  w0(J) reverses each run of J together with the
+    position after it, so c M_sigma adds (-1)^|J| c to G_pi for each way to
+    cut tau after its descents and after the ascents outside J.
+    """
     if f.basis != M:
         raise ValueError("expected an M-basis element")
     out: dict = {}
-    for n, terms in _by_degree(f.terms).items():
-        masks = inverse_inversion_masks(n)
-        # (mask of rho, rho, rho inverse), rho in lexicographic order
-        rows = []
-        for rho in permutations(n):
-            sigma = inverse(rho)
-            rows.append((masks[sigma], rho, sigma))
-        rows.sort(key=lambda row: row[0].bit_count())
-        known: list = []  # (mask, coeff) with coeff nonzero
-        for m, rho, sigma in rows:
-            total = terms.get(sigma)
-            for pm, c in known:
-                if pm | m == m:
-                    total = -c if total is None else total - c
-            if total:
-                known.append((m, total))
-                out[rho] = total
+    for sigma, c in f.terms.items():
+        tau, signed = inverse(sigma), (c, -c)
+        cuts = [((), (), 0)]  # (pieces reversed, open piece reversed, |J| mod 2)
+        for i, x in enumerate(tau):
+            ascent = i + 1 < len(tau) and x < tau[i + 1]
+            grown = []
+            for done, piece, odd in cuts:
+                grown.append((done + (x,) + piece, (), odd))
+                if ascent:
+                    grown.append((done, (x,) + piece, 1 - odd))
+            cuts = grown
+        for pi, _, odd in cuts:
+            s = out.get(pi)
+            out[pi] = signed[odd] if s is None else s + signed[odd]
     return FqsymElement(f.ring, G, out, bound=f.bound)
 
 
 def convert(f: FqsymElement, basis: str) -> FqsymElement:
-    if basis == f.basis:
-        return f
-    if f.basis == F:
-        return convert(f_to_g(f), basis)
-    if f.basis == M:
-        return convert(m_to_g(f), basis)
-    # from G
-    if basis == F:
-        return g_to_f(f)
-    if basis == M:
-        return g_to_m(f)
-    raise ValueError(f"unknown basis {basis!r}")
+    return f.convert(basis)
 
 
 def internal_product(f: FqsymElement, g: FqsymElement) -> FqsymElement:

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 from math import inf
 
+import pytest
+
 from peakforge import algebra, mr, oracle, sym
 from peakforge.combinatorics import colored_compositions, compositions
 from peakforge.scalars import QQ, Cyclo, QQq, cyclotomic_field
@@ -310,3 +312,9 @@ def test_elements_of_different_groups_stay_unequal():
     bn = oracle.delta(QQ, (1,), oracle.HYPEROCTAHEDRAL)
     assert sn != bn and bn != sn
     assert sn == oracle.delta(QQ, (1,), oracle.SYMMETRIC)
+    # each group is an algebra of its own, with no change of basis between
+    for f, basis in ((sn, oracle.HYPEROCTAHEDRAL), (bn, oracle.SYMMETRIC)):
+        with pytest.raises(ValueError) as exc:
+            f.convert(basis)
+        assert oracle.SYMMETRIC in str(exc.value) and oracle.HYPEROCTAHEDRAL in str(exc.value)
+    assert sn.convert(oracle.SYMMETRIC) is sn

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from peakforge.cli import main
+from peakforge.cli import CAPS, main
 
 
 def run_cli(capsys, *argv):
@@ -233,6 +233,33 @@ def test_misuse_is_a_usage_error(argv, capsys):
     assert [line for line in captured.err.splitlines() if "error:" in line] == [
         captured.err.splitlines()[-1]
     ]
+
+
+def _cap_argv(key, degree):
+    """The invocation of a ``cli.CAPS`` entry at ``degree``."""
+    command, _, variant = key.partition("/")
+    if command == "hilbert":
+        return [command, "--algebra", variant, "--r", "2", "--max-degree", str(degree)]
+    if command == "closure":
+        return [command, "--algebra", variant, "--degree", str(degree)]
+    if command == "oracle":
+        return [command, "--group", variant, "--n", str(degree)]
+    extra = ["--q", "1"] if command == "identities" else []
+    flag = "--n" if command in ("klyachko", "monomial") else "--max-degree"
+    return [command, *extra, flag, str(degree)]
+
+
+@pytest.mark.parametrize("key", sorted(CAPS))
+def test_every_cap_refuses_the_next_degree(key, capsys):
+    cap = CAPS[key]
+    with pytest.raises(SystemExit) as exc:
+        main(_cap_argv(key, cap + 1))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert f"{cap + 1} exceeds the documented cap {cap} for {key} " in errors[0]
 
 
 def test_readme_names_every_degree_cap():

@@ -31,11 +31,55 @@ def M(p, coeff=1, ring=QQ):
 
 
 def test_f_g_examples():
-    assert fqsym.g_to_f(G((1, 2))) == F((1, 2))
-    assert fqsym.g_to_f(G((2, 3, 1))) == F((3, 1, 2))
+    assert fqsym.convert(G((1, 2)), fqsym.F).terms == F((1, 2)).terms
+    assert fqsym.convert(G((2, 3, 1)), fqsym.F).terms == F((3, 1, 2)).terms
     for p in permutations(4):
         f = G(p)
-        assert fqsym.f_to_g(fqsym.g_to_f(f)) == f
+        assert fqsym.convert(f, fqsym.F).terms == {inverse(p): QQ(1)}
+        assert fqsym.convert(fqsym.convert(f, fqsym.F), fqsym.G).terms == f.terms
+
+
+# ---- equality across bases
+
+
+def _elements_in_every_ring():
+    q = QQq.q
+    zeta = cyclotomic_field(3).zeta
+    pools = {
+        QQ: [QQ(1), QQ(-2), QQ(Fraction(1, 3))],
+        QQq: [q, QQq.one - q, QQq.one / (QQq.one - q ** 2)],
+        zeta.field: [zeta, zeta + 1, -zeta * zeta],
+    }
+    for ring, (a, b, c) in pools.items():
+        terms = {(2, 1, 3): a, (1, 3, 2): b, (3, 1, 2): c, (2, 1): a, (): b}
+        yield fqsym.FqsymElement(ring, fqsym.G, terms)
+        # a truncated series keeps its bound in every basis
+        yield fqsym.FqsymElement(ring, fqsym.G, terms, bound=3)
+
+
+def test_the_bases_of_one_element_compare_equal():
+    g = fqsym.monomial(QQ, (2, 1, 3), basis=fqsym.G)
+    assert g == fqsym.convert(g, fqsym.F) and g == fqsym.convert(g, fqsym.M)
+    assert G((2, 3, 1)) == F((3, 1, 2)) and F((3, 1, 2)) == G((2, 3, 1))
+    assert M((1, 2)) == G((1, 2)) - G((2, 1))
+    for g in _elements_in_every_ring():
+        forms = [g] + [fqsym.convert(g, basis) for basis in (fqsym.F, fqsym.M)]
+        assert [f.basis for f in forms] == [fqsym.G, fqsym.F, fqsym.M]
+        assert all(f.ring is g.ring and f.bound == g.bound for f in forms)
+        others = [
+            g + G((1, 2, 3), ring=g.ring),
+            g.scaled(2),
+            fqsym.FqsymElement(g.ring, fqsym.F, g.terms),  # the keys, not inverted
+        ]
+        for a, b in itertools.product(forms, forms):
+            assert a == b and not a != b, (a.basis, b.basis)
+        for a, other in itertools.product(forms, others):
+            for b in (other, *(fqsym.convert(other, x) for x in fqsym.FqsymElement.bases)):
+                assert a != b and b != a and not a == b, (a.basis, b.basis)
+    # Q embeds in Q(zeta_3): a rational element equals its image there
+    rational = next(_elements_in_every_ring())
+    cyclotomic = fqsym.convert(rational, fqsym.M).with_ring(cyclotomic_field(3))
+    assert rational == cyclotomic and cyclotomic == rational
 
 
 # ---- internal product
@@ -177,6 +221,10 @@ def _g_to_m_cases():
         yield fqsym.FqsymElement(
             ring, fqsym.G, {p: pool[2] for p in permutations(4)}
         )
+        # a truncated series
+        yield fqsym.FqsymElement(
+            ring, fqsym.G, {(2, 1, 3): pool[0], (1, 3, 2): pool[1], (1,): pool[3]}, bound=3
+        )
         yield fqsym.FqsymElement(ring, fqsym.G, {})
 
 
@@ -189,6 +237,84 @@ def test_g_to_m_matches_the_weak_order_definition():
         assert list(got.terms) == list(expected)
     # the sum cancels on M_21
     assert fqsym.g_to_m(G((1, 2)) - G((2, 1))).terms == {(1, 2): QQ(1)}
+
+
+def test_m_to_g_inverts_the_weak_order_definition():
+    for f in _g_to_m_cases():
+        m = fqsym.FqsymElement(f.ring, fqsym.M, _g_to_m_by_definition(f), bound=f.bound)
+        got = fqsym.m_to_g(m)
+        assert got.ring is f.ring and got.basis == fqsym.G and got.bound == f.bound
+        assert got.terms == f.terms
+
+
+def _m_to_g_by_elimination(f):
+    """The G coefficients of an M-basis element by ascending-length
+    elimination along the right weak order: the G coefficient of rho is the
+    M coefficient of rho inverse less the G coefficients found below rho."""
+    out = {}
+    for n in dict.fromkeys(len(p) for p in f.terms):
+        masks = inverse_inversion_masks(n)
+        rows = sorted(
+            ((masks[inverse(rho)], rho) for rho in permutations(n)),
+            key=lambda row: row[0].bit_count(),
+        )
+        known = []  # (mask, coefficient) with the coefficient nonzero
+        for m, rho in rows:
+            total = f.terms.get(inverse(rho), f.ring(0))
+            for pm, c in known:
+                if pm | m == m:
+                    total = total - c
+            if total:
+                known.append((m, total))
+                out[rho] = total
+    return out
+
+
+def test_m_to_g_matches_the_elimination():
+    rng = random.Random(19)
+    q = QQq.q
+    zeta = cyclotomic_field(3).zeta
+    pools = {
+        QQ: [QQ(1), QQ(-1), QQ(3), QQ(Fraction(-1, 2))],
+        QQq: [q, -q, QQq.one - q, QQq.one / (QQq.one - q)],
+        zeta.field: [zeta, -zeta, zeta + 1, -zeta - 1],
+    }
+    for ring, pool in pools.items():
+        for degrees in ([0], [1], [2], [3], [4], [5], [6], [6, 3, 0], [5, 4, 1]):
+            if ring is not QQ and 6 in degrees:
+                continue  # degree 6 over Q only, to keep the elimination cheap
+            terms = {}
+            for n in degrees:
+                perms = list(permutations(n))
+                for p in rng.sample(perms, rng.randint(1, len(perms))):
+                    terms[p] = rng.choice(pool)
+            # M images of sparse G elements: most G sums cancel
+            sparse = {p: c for p, c in itertools.islice(terms.items(), 3)}
+            image = fqsym.g_to_m(fqsym.FqsymElement(ring, fqsym.G, sparse))
+            for m in (fqsym.FqsymElement(ring, fqsym.M, terms), image):
+                got = fqsym.m_to_g(m)
+                assert got.ring is ring and got.basis == fqsym.G
+                assert got.terms == _m_to_g_by_elimination(m), (ring, degrees)
+            assert fqsym.m_to_g(image).terms == sparse
+
+
+def test_m_to_g_round_trips_in_degree_7():
+    rng = random.Random(7)
+    perms = list(permutations(7))
+    dense = {p: Fraction(rng.randint(1, 3)) for p in perms}
+    identity = tuple(range(1, 8))
+    one_term = {(3, 1, 4, 7, 2, 6, 5): QQ(-2)}
+    for terms in (dense, {identity: QQ(1)}, one_term):
+        m = fqsym.FqsymElement(QQ, fqsym.M, terms)
+        assert fqsym.g_to_m(fqsym.m_to_g(m)).terms == terms
+        g = fqsym.FqsymElement(QQ, fqsym.G, terms)
+        assert fqsym.m_to_g(fqsym.g_to_m(g)).terms == terms
+    # M of the identity spreads over the 2^6 sets of its ascents
+    expansion = fqsym.m_to_g(M(identity))
+    assert len(expansion.terms) == 64
+    assert expansion.coefficient(identity) == QQ(1)
+    assert expansion.coefficient(identity[::-1]) == QQ(1)
+    assert expansion.coefficient((2, 1, 3, 4, 5, 6, 7)) == QQ(-1)
 
 
 def test_inverse_inversion_masks_orientation():
