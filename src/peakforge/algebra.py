@@ -317,7 +317,12 @@ def letterwise(f: WordElement, q, letter):
 # with the multiplier an int or a scalar.  The bilinear products run on
 # integers when both operands are rational, over Q, Q(zeta_1) or Q(zeta_2)
 # (see _over_integers): the fields' arithmetic would normalize every
-# product and sum.
+# product and sum.  Lemma: a result's keys, and their order, depend only on
+# the operands' keys, their order and which of their coefficients are equal
+# (_compositions groups keys by coefficient).  Each loop visits keys and
+# table entries in that order, inserts a key when it first meets it and
+# never removes one.  Clearing denominators scales an operand by one
+# nonzero constant, which keeps all three.
 
 
 def expand(terms: dict, table) -> dict:
@@ -364,54 +369,26 @@ def internal(u: dict, v: dict, structure, degree) -> dict:
     ``structure(I, J)`` gives the integer structure constants of I * J as
     (key, multiplicity) pairs; cross-degree products vanish, so ``v`` is
     grouped by ``degree`` once and only pairs of equal degree are
-    evaluated, on word ids (see :class:`_WordTable`).  Rational
-    coefficients are accumulated as integers (see :func:`_over_integers`).
-    Cancelled keys stay, with zero coefficients.
+    evaluated.  Each pair reads ``structure`` once, so a cached structure
+    callable is the one cache of the constants.  Rational coefficients are
+    accumulated as integers (see :func:`_over_integers`).  Cancelled keys
+    stay, with zero coefficients.
     """
     return _over_integers(_internal, u, v, structure, degree)
 
 
 def _internal(u: dict, v: dict, structure, degree) -> dict:
-    table = _table(structure)
     by_degree: dict = {}
     for J, cv in v.items():
-        by_degree.setdefault(degree(J), []).append((J, table.id(J), cv))
+        by_degree.setdefault(degree(J), []).append((J, cv))
     out: dict = {}
     for I, cu in u.items():
-        row = table.rows.setdefault(table.id(I), {})
-        for J, j, cv in by_degree.get(degree(I), ()):
+        for J, cv in by_degree.get(degree(I), ()):
             c = cu * cv
-            constants = row.get(j)
-            if constants is None:
-                constants = row[j] = tuple([table[p][1] for p in structure(I, J)])
-            for k, mult in constants:
+            for k, mult in structure(I, J):
                 s = out.get(k)
                 out[k] = mult * c if s is None else s + mult * c
-    return {table.words[k]: s for k, s in out.items()}
-
-
-class _WordTable(dict):
-    """The words of one structure callable, numbered as met: ``ids`` maps
-    word -> id and ``words`` id -> word.  The dict maps each (word, mult)
-    structure constant to a shared equal pair and its (id, mult) pair, and
-    ``rows[i][j]`` holds the (id, mult) constants of words[i] * words[j]."""
-
-    def __init__(self):
-        self.ids, self.words, self.rows = {}, [], {}
-
-    def id(self, word) -> int:
-        i = self.ids.get(word)
-        if i is None:
-            i = self.ids[word] = len(self.words)
-            self.words.append(word)
-        return i
-
-    def __missing__(self, pair: tuple) -> tuple:
-        i = self.id(pair[0])
-        return self.setdefault(pair, ((self.words[i], pair[1]), (i, pair[1])))
-
-
-_table = cache(lambda structure: _WordTable())  # one table per structure callable
+    return out
 
 
 def _concatenate(u: dict, v: dict, degree, limit) -> dict:
@@ -512,7 +489,8 @@ def peeled_structure(left: tuple, right: tuple, structure, sizes, read) -> tuple
     followed by each word of ``structure(rest of left, rest of right)``.
     The algebra's letter table gives ``sizes(word)`` and ``read(a, b, v)``:
     the letter an entry v reads where left letter a meets right letter b,
-    and b less v.  The pairs and their words are shared (:class:`_WordTable`).
+    and b less v.  Equal words and equal pairs are one object across all
+    results (:func:`_shared`).
     """
     if not left:
         return () if right else (((), 1),)
@@ -529,8 +507,18 @@ def peeled_structure(left: tuple, right: tuple, structure, sizes, read) -> tuple
         for word, mult in structure(left[1:], rest):
             word = head + word
             acc[word] = acc.get(word, 0) + mult
-    table = _table(structure)
-    return tuple([table[p][0] for p in sorted(acc.items())])
+    return tuple([_pairs.get(p) or _shared(p) for p in sorted(acc.items())])
+
+
+# the constants of all pairs of words hold one object per word and one per
+# (word, multiplicity) pair
+_words: dict = {}
+_pairs: dict = {}
+
+
+def _shared(pair: tuple) -> tuple:
+    word, mult = pair
+    return _pairs.setdefault(pair, (_words.setdefault(word, word), mult))
 
 
 @cache

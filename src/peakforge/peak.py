@@ -136,8 +136,9 @@ def _span(n: int, ring, keys, factors, lower) -> GradedSubspace:
     if not n:
         space.insert({(): ring.one})
         return space.freeze()
+    lower_rows = cache(lambda k: lower(n - k, ring.order).basis())  # once per size
     for k, f in factors:
-        for row in lower(n - k, ring.order).basis():
+        for row in lower_rows(k):
             space.insert({a + w: x * y for a, x in f.items() for w, y in row.items()})
     return space.freeze()
 

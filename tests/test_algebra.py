@@ -156,10 +156,10 @@ def test_peeled_constants_edge_cases():
         assert mr.internal_structure(left, right) == _mr_reference(left, right)
 
 
-# ---- the product kernels: word ids, and rationals accumulated as integers
+# ---- the product kernels: words as keys, and rationals accumulated as integers
 
 # Q, Q(zeta_1) and Q(zeta_2) run on integers; Q(zeta_3) and Q(q) run the
-# field's own arithmetic, on word ids like the others
+# field's own arithmetic
 FIELDS = (QQ, cyclotomic_field(1), cyclotomic_field(2), cyclotomic_field(3), QQq)
 
 
@@ -177,9 +177,9 @@ def _random_element(cls, keys, ring, rng):
 
 
 def _word_keyed_loop(op, f, g):
-    """op(f, g) for operands over S, accumulated on word keys in the field's
-    own arithmetic, with no word ids and no integer clearing; cancelled keys
-    are dropped once, at the end, as Element does."""
+    """op(f, g) for operands over S, over every pair of terms in the field's
+    own arithmetic, with no grouping by degree and no integer clearing;
+    cancelled keys are dropped once, at the end, as Element does."""
     if op is mr.product:
         out = algebra._concatenate(f.terms, g.terms, f.key_degree, inf)
     else:
@@ -223,6 +223,25 @@ def test_rational_products_match_the_generic_loop():
             f, g = (_random_element(mr.MrElement, mr_keys, ring, rng) for _ in range(2))
             _check_kernel(mr.internal_product, f, g)
             _check_kernel(mr.product, f, g)
+
+
+def test_internal_products_read_the_cached_structure_for_every_pair():
+    # the functools caches of the structure callables are the one cache of
+    # constants: once cleared, a repeated product computes its constants again
+    rng = random.Random(20)
+    cases = (
+        (sym, sym.SymElement, list(compositions(4))),
+        (mr, mr.MrElement, list(colored_compositions(3))),
+    )
+    for module, cls, keys in cases:
+        for ring in (QQ, cyclotomic_field(3)):
+            f, g = (_random_element(cls, keys, ring, rng) for _ in range(2))
+            first = module.internal_product(f, g)
+            assert first
+            module.internal_structure.cache_clear()
+            again = module.internal_product(f, g)
+            assert module.internal_structure.cache_info().misses > 0
+            assert list(again.terms.items()) == list(first.terms.items())
 
 
 def test_rational_products_drop_cancelled_keys():

@@ -118,7 +118,7 @@ def _random_f_element(ring, rng, degrees):
 
 def test_internal_product_is_the_group_product_in_each_degree():
     rng = random.Random(6)
-    before = algebra._table.cache_info()
+    before = len(algebra._words), len(algebra._pairs)
     for ring in (QQ, cyclotomic_field(3)):
         for _ in range(10):
             f = _random_f_element(ring, rng, rng.sample(range(5), 3))
@@ -135,9 +135,9 @@ def test_internal_product_is_the_group_product_in_each_degree():
                     oracle.GroupAlgebraElement(ring, oracle.SYMMETRIC, b.terms),
                 )
                 assert prod.homogeneous(n).terms == group.terms, (ring, n)
-    # composition reads no word table, whose pairs of permutations would
-    # pile up: n!^2 of them after one dense product in degree n
-    assert algebra._table.cache_info() == before
+    # composition shares no structure constants, whose words would pile
+    # up: n!^2 pairs of permutations after one dense product in degree n
+    assert (len(algebra._words), len(algebra._pairs)) == before
 
 
 # ---- dual of the monomial basis
