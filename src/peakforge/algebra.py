@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import cache, partial
-from math import inf
+from math import inf, prod
 from operator import itemgetter
 
 from .scalars import _cleared_terms, common_ring, ring_of, scalar_str
@@ -266,7 +266,7 @@ def word_product(f: WordElement, g: WordElement):
     a, b = f.convert(S)._aligned(g.convert(S))
     bound = merge_bounds(a.bound, b.bound)
     limit = inf if bound is None else bound
-    terms = _over_integers(_concatenate, a.terms, b.terms, f.key_degree, limit)
+    terms = _over_integers(_concatenate, (a.terms, b.terms), f.key_degree, limit)
     return type(f)(a.ring, S, terms, bound=bound).convert(f.basis)
 
 
@@ -314,20 +314,25 @@ def letterwise(f: WordElement, q, letter):
 # result keeps the keys whose terms cancel, with zero coefficients: zeros
 # leave at the Element or GradedSubspace the result reaches.  The algebras
 # supply only their key tables, whose entries are (key, multiplier) pairs
-# with the multiplier an int or a scalar.  The bilinear products run on
-# integers when both operands are rational, over Q, Q(zeta_1) or Q(zeta_2)
-# (see _over_integers): the fields' arithmetic would normalize every
-# product and sum.  Lemma: a result's keys, and their order, depend only on
-# the operands' keys, their order and which of their coefficients are equal
-# (_compositions groups keys by coefficient).  Each loop visits keys and
-# table entries in that order, inserts a key when it first meets it and
-# never removes one.  Clearing denominators scales an operand by one
-# nonzero constant, which keeps all three.
+# with the multiplier an int or a scalar.  The bilinear products and the
+# word substitution run on integers when their operands are rational, over
+# Q, Q(zeta_1) or Q(zeta_2) (see _over_integers): the fields' arithmetic
+# would normalize every product and sum.  Lemma: a result's keys, and their
+# order, depend only on the operands' keys, their order and which of their
+# coefficients are equal (_compositions groups keys by coefficient).  Each
+# loop visits keys and table entries in that order, inserts a key when it
+# first meets it and never removes one.  Clearing denominators scales an
+# operand by one nonzero constant, which keeps all three.
 
 
 def expand(terms: dict, table) -> dict:
     """Word substitution: each key is replaced by the combination
-    ``table(key)``."""
+    ``table(key)``, whose multipliers are ints.  Rational coefficients are
+    accumulated as integers (see :func:`_over_integers`)."""
+    return _over_integers(_expand, (terms,), table)
+
+
+def _expand(terms: dict, table) -> dict:
     out: dict = {}
     for key, c in terms.items():
         for new_key, mult in table(key):
@@ -374,7 +379,7 @@ def internal(u: dict, v: dict, structure, degree) -> dict:
     accumulated as integers (see :func:`_over_integers`).  Cancelled keys
     stay, with zero coefficients.
     """
-    return _over_integers(_internal, u, v, structure, degree)
+    return _over_integers(_internal, (u, v), structure, degree)
 
 
 def _internal(u: dict, v: dict, structure, degree) -> dict:
@@ -410,19 +415,23 @@ def _concatenate(u: dict, v: dict, degree, limit) -> dict:
     return out
 
 
-def _over_integers(kernel, u: dict, v: dict, *args) -> dict:
-    """``kernel(u, v, *args)`` for a kernel bilinear in u and v.  When every
-    coefficient of both is a rational of one field, Q, Q(zeta_1) or
-    Q(zeta_2), the kernel runs on integer multiples U = Du*u and V = Dv*v,
-    and each sum is divided by Du*Dv once; a sum cancels exactly where it
-    does in the field, so the keys and their order are the same."""
-    cleared_u = _cleared_terms(u)
-    cleared_v = cleared_u and _cleared_terms(v)
-    if not cleared_v or cleared_u[2] != cleared_v[2]:
-        return kernel(u, v, *args)
-    (iu, du, make), (iv, dv, _) = cleared_u, cleared_v
-    den = du * dv
-    return {k: make(s, den) for k, s in kernel(iu, iv, *args).items()}
+def _over_integers(kernel, operands: tuple, *args) -> dict:
+    """``kernel(*operands, *args)`` for a kernel linear in each of its term
+    dicts ``operands`` (one or two).  When every coefficient of them is a
+    rational of one field, Q, Q(zeta_1) or Q(zeta_2), the kernel runs on
+    integer multiples D*t of each operand t, and each sum is divided by the
+    product of the D's once; a sum cancels exactly where it does in the
+    field, so the keys and their order are the same."""
+    cleared = []
+    for terms in operands:
+        part = _cleared_terms(terms)
+        if part is None or (cleared and part[2] != cleared[0][2]):
+            return kernel(*operands, *args)
+        cleared.append(part)
+    den = prod(d for _, d, _ in cleared)
+    make = cleared[0][2]
+    out = kernel(*(t for t, _, _ in cleared), *args)
+    return {k: make(s, den) for k, s in out.items()}
 
 
 def _compositions(u: dict, v: dict) -> dict:
@@ -443,13 +452,13 @@ def _compositions(u: dict, v: dict) -> dict:
 def _count_compositions(us, vs) -> dict:
     """How often each u o v occurs over all pairs of (signed) permutations."""
     # u o v reads u at the entries of v: index j of a table below holds u(j)
-    # for -n <= j <= n; the two leading reads of index 0 make every read a
-    # tuple, even for the empty permutation
+    # for -n <= j <= n; itemgetter reads a tuple from two indices on
     tables = [(0, *u, *[-x for x in reversed(u)]) for u in us]
     counts = Counter()
     for v in vs:
-        counts.update(map(itemgetter(0, 0, *v), tables))
-    return {key[2:]: n for key, n in counts.items()}
+        read = itemgetter(*v) if len(v) > 1 else lambda t, v=v: tuple(t[j] for j in v)
+        counts.update(map(read, tables))
+    return counts
 
 
 def by_coefficient(terms: dict) -> dict:

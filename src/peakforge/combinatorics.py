@@ -318,6 +318,17 @@ def type_b_compositions(n: int):
         yield (0,) + comp
 
 
+@cache
+def signed_permutations_by_descent(n: int) -> MappingProxyType:
+    """Signed permutations of 1..n grouped by type-B descent composition
+    (the exact descent classes), as a read-only mapping: the table is
+    cached and shared by every caller."""
+    groups: dict = {I: [] for I in type_b_compositions(n)}
+    for w in signed_permutations(n):
+        groups[signed_descent_composition(w)].append(w)
+    return MappingProxyType({I: tuple(ws) for I, ws in groups.items()})
+
+
 # --------------------------------------------------------------------------
 # Colored compositions
 

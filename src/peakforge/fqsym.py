@@ -173,7 +173,7 @@ def internal_product(f: FqsymElement, g: FqsymElement) -> FqsymElement:
     out: dict = {}
     for n, terms in _by_degree(a.terms).items():
         if n in right:
-            out.update(_over_integers(_compositions, terms, right[n]))
+            out.update(_over_integers(_compositions, (terms, right[n])))
     result = FqsymElement(a.ring, F, out, bound=merge_bounds(a.bound, b.bound))
     return convert(result, f.basis)
 

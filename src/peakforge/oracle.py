@@ -4,21 +4,20 @@ These provide ground truth for the internal products: each graded
 component of the level-1 algebra is anti-isomorphic to the descent algebra
 of the symmetric group, and the span of the type-B complete basis is
 anti-isomorphic to the descent algebra of the hyperoctahedral group.  The
-checks here multiply descent classes by brute force and compare.
+checks here multiply exact descent classes by brute force, counting the
+compositions of their words in integers, and compare.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import chain
 
-from .algebra import Element, _compositions, _over_integers
+from .algebra import Element, _compositions, _count_compositions, _over_integers
 from .combinatorics import (
     descent_set,
     format_composition,
     permutations_by_descent,
-    signed_descent_set,
-    signed_permutations,
+    signed_permutations_by_descent,
     type_b_compositions,
 )
 from .linalg import GradedSubspace
@@ -52,7 +51,7 @@ def group_product(f: GroupAlgebraElement, g: GroupAlgebraElement) -> GroupAlgebr
     if f.terms and g.terms and len({len(w) for w in chain(f.terms, g.terms)}) > 1:
         raise ValueError("degree mismatch in group product")
     a, b = f._aligned(g)
-    out = _over_integers(_compositions, a.terms, b.terms)
+    out = _over_integers(_compositions, (a.terms, b.terms))
     return GroupAlgebraElement(a.ring, f.group, out)
 
 
@@ -65,13 +64,17 @@ def descent_class_sn(n: int, comp, ring=QQ) -> GroupAlgebraElement:
 def descent_class_bn(n: int, comp, ring=QQ) -> GroupAlgebraElement:
     """Sum of the signed permutations whose descent set is CONTAINED IN the
     descent set of the type-B composition ``comp`` (the class matching the
-    type-B complete basis)."""
+    type-B complete basis): the union of the exact classes below it."""
+    table = signed_permutations_by_descent(n)
+    words = chain.from_iterable(table[A] for A in _below(table, comp))
+    return GroupAlgebraElement(ring, HYPEROCTAHEDRAL, dict.fromkeys(words, ring(1)))
+
+
+def _below(table, comp) -> list:
+    """The exact classes of ``table`` whose descent sets lie in that of the
+    type-B composition ``comp``."""
     target = set(descent_set(tuple(comp)))
-    terms = {}
-    for w in signed_permutations(n):
-        if set(signed_descent_set(w)) <= target:
-            terms[w] = ring(1)
-    return GroupAlgebraElement(ring, HYPEROCTAHEDRAL, terms)
+    return [A for A in table if target.issuperset(descent_set(A))]
 
 
 def sym_to_group(f, n: int) -> GroupAlgebraElement:
@@ -91,19 +94,22 @@ def verify_descent_antimorphism(n: int):
     """Check that the internal product maps to the opposite product of
     descent classes: for all compositions I, J of n, the class expansion of
     R_I * R_J equals class(J) times class(I).  Returns (ok, failures), each
-    failure naming its pair as ``"I * J"``."""
-    from .combinatorics import compositions
+    failure naming its pair as ``"I * J"``.
 
-    comps = list(compositions(n))
-    classes = {I: descent_class_sn(n, I) for I in comps}
+    The group side counts the compositions of the two exact classes' words
+    in integers; the pair passes iff every permutation of each class K
+    occurs as often as R_K's coefficient says, which checks both that the
+    product is constant on the classes and that it equals the image."""
+    table = permutations_by_descent(n)
+    complete = {I: sym.monomial(QQ, I, basis=sym.R).convert(sym.S) for I in table}
     failures = []
-    for I in comps:
-        fI = sym.monomial(QQ, I, basis=sym.R)
-        for J in comps:
-            fJ = sym.monomial(QQ, J, basis=sym.R)
-            lhs = sym_to_group(sym.internal_product(fI, fJ), n)
-            rhs = group_product(classes[J], classes[I])
-            if lhs.terms != rhs.terms:
+    for I, fI in complete.items():
+        for J, fJ in complete.items():
+            coeffs = sym.internal_product(fI, fJ).convert(sym.R).terms
+            counts = _count_compositions(table[J], table[I])
+            if not coeffs.keys() <= table.keys() or any(
+                set(map(counts.get, ps)) != {coeffs.get(K)} for K, ps in table.items()
+            ):
                 failures.append(_pair(I, J))
     return not failures, failures
 
@@ -125,14 +131,38 @@ def verify_signed_antimorphism(n: int):
     basis elements over that basis, map to contained-descent classes, and
     compare with the opposite product in the hyperoctahedral group algebra.
     Returns (ok, failures), each naming its pair as ``"I * J"`` and whether
-    the product left the span or the images differ (or a dependent basis)."""
+    the product left the span or the images differ (or a dependent basis).
+
+    Both sides are compared on the exact descent classes (Solomon, *J.
+    Algebra* 41 (1976)): each product of two exact classes is counted once
+    in integers and must be constant on every exact class, else the failure
+    names the two classes; a contained class is the sum of the exact
+    classes below it."""
     comps = list(type_b_compositions(n))
     span = bsym_span(n)
     if span.rank < len(comps):
         return False, ["the type-B complete basis elements are dependent"]
-    classes = {I: descent_class_bn(n, I) for I in comps}
-    elements = {I: mr.bsym_complete(I) for I in comps}
+    table = signed_permutations_by_descent(n)
+    # the product of two exact classes, by its coordinates on them in the
+    # order of the table
+    exact = {}
     failures = []
+    for A, us in table.items():
+        for B, vs in table.items():
+            counts = _count_compositions(us, vs)
+            coords = [set(map(counts.get, ws)) for ws in table.values()]
+            bad = next((M for M, c in zip(table, coords) if len(c) > 1), None)
+            if bad is not None:
+                failures.append(
+                    f"exact classes {_pair(A, B)}: product not constant on "
+                    f"the class {format_composition(bad)}"
+                )
+            exact[A, B] = tuple(c.pop() or 0 for c in coords)
+    if failures:
+        return False, failures
+    below = {K: _below(table, K) for K in comps}
+    above = {M: [K for K in comps if M in below[K]] for M in table}
+    elements = {I: mr.bsym_complete(I) for I in comps}
     for I in comps:
         for J in comps:
             prod = mr.internal_product(elements[I], elements[J])
@@ -140,12 +170,9 @@ def verify_signed_antimorphism(n: int):
             if coords is None:
                 failures.append(f"{_pair(I, J)}: outside the type-B span")
                 continue
-            # every class is a sum of group elements with coefficient one
-            lhs = Counter()
-            for K, c in coords.items():
-                lhs.update(dict.fromkeys(classes[K].terms, c))
-            rhs = group_product(classes[J], classes[I])
-            if {w: c for w, c in lhs.items() if c} != rhs.terms:
+            lhs = tuple(sum(coords.get(K, 0) for K in above[M]) for M in table)
+            terms = [exact[A, B] for A in below[J] for B in below[I]]
+            rhs = tuple(map(sum, zip(*terms)))
+            if lhs != rhs:
                 failures.append(f"{_pair(I, J)}: images differ")
     return not failures, failures
-

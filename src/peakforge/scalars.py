@@ -279,6 +279,9 @@ class RatFunc(_FieldElement):
     A sum is (n1*d2 + n2*d1)/(d1*d2) and a product (n1*n2)/(d1*d2), each
     divided by the gcd of its numerator and denominator; when both
     denominators are 1 the result is already canonical and takes no gcd.
+    Over one denominator d a sum is (n1 + n2)/d, divided by its gcd with d.
+    A product by an integer constant k is (k*n1)/d1: n1 is prime to d1, so
+    the gcd is that of k and the content of d1.
 
     ``num`` and ``den`` give the same value with a monic denominator, as
     tuples of Fraction.  Construct values from ``QQq.q`` by arithmetic
@@ -350,8 +353,10 @@ class RatFunc(_FieldElement):
                 return NotImplemented
         n1, d1 = self._num, self._den
         n2, d2 = other._num, other._den
-        if d1 == _Z1 and d2 == _Z1:
-            return _ratfunc(_padd(n1, n2), _Z1)
+        if d1 == d2:
+            if d1 == _Z1:
+                return _ratfunc(_padd(n1, n2), _Z1)
+            return _ratfunc(*_int_cancel(_padd(n1, n2), d1))
         n = _padd(_int_mul(n1, d2), _int_mul(n2, d1))
         return _ratfunc(*_int_cancel(n, _int_mul(d1, d2)))
 
@@ -362,11 +367,15 @@ class RatFunc(_FieldElement):
             other = RatFunc._coerce(other)
             if other is None:
                 return NotImplemented
-        n = _int_mul(self._num, other._num)
-        d1, d2 = self._den, other._den
+        n1, d1 = self._num, self._den
+        n2, d2 = other._num, other._den
         if d1 == _Z1 and d2 == _Z1:
-            return _ratfunc(n, _Z1)
-        return _ratfunc(*_int_cancel(n, _int_mul(d1, d2)))
+            return _ratfunc(_int_mul(n1, n2), _Z1)
+        if d2 == _Z1 and len(n2) == 1:
+            return _int_multiple(n1, d1, n2[0])
+        if d1 == _Z1 and len(n1) == 1:
+            return _int_multiple(n2, d2, n1[0])
+        return _ratfunc(*_int_cancel(_int_mul(n1, n2), _int_mul(d1, d2)))
 
     __rmul__ = __mul__
 
@@ -397,6 +406,14 @@ def _ratfunc(num, den):
     r._num = num
     r._den = den
     return r
+
+
+def _int_multiple(num, den, k):
+    """(k*num)/den for a canonical num/den and a nonzero int k."""
+    g = gcd(k, *den)
+    if g == 1:
+        return _ratfunc(_int_mul(num, (k,)), den)
+    return _ratfunc(_int_mul(num, (k // g,)), tuple(c // g for c in den))
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 from math import inf
+from operator import add
 
 import pytest
 
@@ -291,6 +293,54 @@ def test_rational_products_drop_cancelled_keys():
             out = _check_kernel(op, u, v)
             assert out == product.with_ring(ring).scaled(gen), (ring, op)
             assert list(out.terms) == list(product.terms)
+
+
+def _substituted_by_field(terms, table):
+    """Word substitution in the field's own arithmetic, with no integer
+    clearing; cancelled keys stay, with zero coefficients."""
+    out = {}
+    for key, c in terms.items():
+        for new_key, mult in table(key):
+            s = out.get(new_key)
+            out[new_key] = mult * c if s is None else s + mult * c
+    return out
+
+
+def _assert_same_terms(got, expected, ring):
+    # keys, their order, the kept zero keys, and values of the field's type
+    assert list(got.items()) == list(expected.items())
+    for c, e in zip(got.values(), expected.values()):
+        if ring is QQ:
+            assert type(c) is Fraction
+        elif ring is not QQq:
+            assert type(c) is Cyclo and c.field is ring and (c.vec, c.den) == (e.vec, e.den)
+
+
+def test_word_substitution_matches_the_field_loop():
+    # ribbons to complete words and back, and forgetting colours: over Q,
+    # Q(zeta_1) and Q(zeta_2) on integers, over Q(zeta_3) and Q(q) in the
+    # field's arithmetic
+    rng = random.Random(21)
+    sym_keys = [I for n in range(1, 6) for I in compositions(n)]
+    mr_keys = [J for n in range(1, 4) for J in colored_compositions(n)]
+    tables = (
+        (partial(algebra._ribbon_table, add, True), sym.SymElement, sym_keys),
+        (partial(algebra._ribbon_table, add, False), sym.SymElement, sym_keys),
+        (mr._forget_colors, mr.MrElement, mr_keys),
+    )
+    for ring in FIELDS:
+        for table, cls, keys in tables:
+            for _ in range(10):
+                terms = _random_element(cls, keys, ring, rng).terms
+                got = algebra.expand(terms, table)
+                _assert_same_terms(got, _substituted_by_field(terms, table), ring)
+        # R_11 + R_2 = S_11 - S_2 + S_2: the key S_2 stays, with a zero
+        gen = _generator(ring)
+        terms = {(1, 1): gen * Fraction(1, 3), (2,): gen * Fraction(1, 3)}
+        table = tables[0][0]
+        got = algebra.expand(terms, table)
+        _assert_same_terms(got, _substituted_by_field(terms, table), ring)
+        assert list(got) == [(1, 1), (2,)] and not got[(2,)]
 
 
 def test_rational_times_cyclotomic_product():

@@ -267,6 +267,8 @@ def test_cached_tables_are_read_only():
         comb.permutations_by_descent(3)[(3,)] = ()
     with pytest.raises(TypeError):
         comb.inverse_inversion_masks(2)[(2, 1)] = 0
+    with pytest.raises(TypeError):
+        comb.signed_permutations_by_descent(2)[(2,)] = ()
     assert comb.permutations_by_descent(3)[(3,)] == ((1, 2, 3),)
     assert comb.inverse_inversion_masks(2)[(2, 1)] == 1
 

@@ -412,6 +412,40 @@ def test_ratfunc_sum_cancels_the_shared_denominator_factor():
     assert a + b == (QQq(2) + 3 * q) / ((one + q) * (one + 2 * q) * (one - q))
 
 
+_denominators = st.lists(st.sampled_from(_ratfunc_factors), min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys, _polys, _denominators, st.integers(-12, 12))
+def test_ratfunc_sums_over_one_denominator_and_int_multiples(n1, n2, factors, k):
+    # n1/d and n2/d share d whenever both numerators are prime to it; the
+    # content factors 2 and 3 of d let k cancel against it
+    d = _ratfunc(_int_product([(2,), *factors]))
+    a, b = _ratfunc(n1) / d, _ratfunc(n2) / d
+    cases = [("*", a, k, a * k), ("*", k, a, k * a), ("*", b, k, RatFunc._coerce(k) * b)]
+    if a._den == b._den:
+        cases += [("+", a, b, a + b), ("+", b, a, b + a), ("-", a, b, a - b)]
+    for op, x, y, result in cases:
+        expected = _reference(op, x, y)
+        _assert_canonical_ratfunc(result)
+        assert result == expected, (op, x, y)
+
+
+def test_ratfunc_one_denominator_and_int_multiple_examples():
+    q = QQq.q
+    one = QQq.one
+    d = (one - q) * (one + q)
+    # (q + 1)/d cancels to 1/(1 - q)
+    assert q / d + one / d == one / (one - q)
+    # 1/(2 + 2q) is canonical; twice it is 1/(1 + q), and 3 times it keeps the 2
+    half = one / (QQq(2) + 2 * q)
+    assert half._num == (1,) and half._den == (2, 2)
+    assert (2 * half)._num == (1,) and (2 * half)._den == (1, 1)
+    assert (half * 3)._num == (3,) and (half * 3)._den == (2, 2)
+    assert (-4 * half)._num == (-2,) and (-4 * half)._den == (1, 1)
+    assert 0 * half == 0 and (0 * half)._den == (1,)
+
+
 def _canonical_cyclo(x):
     return x.den > 0 and gcd(x.den, *x.vec) == 1 and (any(x.vec) or x.den == 1)
 
