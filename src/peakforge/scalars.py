@@ -7,7 +7,8 @@ Three coefficient fields are supported, all exact:
   whose elements are :class:`RatFunc`: a numerator and a denominator in
   Z[q] (dense integer coefficient tuples) with gcd one in Z[q] and a
   positive leading denominator coefficient; sums and products are the
-  textbook fractions, reduced by one gcd unless both denominators are 1;
+  textbook fractions, reduced by one gcd unless both denominators are 1,
+  and a k-th power is N^k/D^k with no gcd;
 * ``cyclotomic_field(r)`` -- Q(zeta_r) = Q[x]/Phi_r(x), whose elements are
   :class:`Cyclo` integer coefficient vectors of length phi(r) over a common
   denominator.  Each field holds one table, x^j mod Phi_r for j < r, which
@@ -20,6 +21,13 @@ Integer polynomials are the one polynomial representation at run time.
 ``RatFunc`` constructor clears the denominators of its arguments), and in
 the ``num``/``den``/``coeffs`` views.
 
+The sparse kernels of :mod:`peakforge.algebra` skip the field arithmetic
+where they can: :func:`_cleared_terms` writes a dict of values as integer
+terms over one positive integer, for rationals of Q, Q(zeta_1) and
+Q(zeta_2) and for rational functions with a constant denominator, whose
+integer polynomials :func:`_kronecker` then evaluates at q = 2^B so that a
+kernel runs on ints (Kronecker substitution) and decodes its sums exactly.
+
 Elements are immutable, hashable, support ``+ - * / **`` with ``int`` and
 ``Fraction`` coercion, and are always kept in canonical form, so ``==`` is
 mathematical equality.  Rationals embed in both larger fields; mixing Q(q)
@@ -30,7 +38,7 @@ q to a root of unity explicitly).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import gcd, lcm
 from operator import add, sub
 
@@ -97,11 +105,22 @@ def _int_cleared(coeffs):
 
 
 def _cleared_terms(terms: dict):
-    """Integer terms T, a positive integer m and the field's constructor
-    ``make`` with terms = {k: make(T[k], m)}, when the values are all ints
-    and Fractions (``make`` is Fraction) or all Cyclo values of one field of
-    degree 1, Q(zeta_1) or Q(zeta_2) (``make`` is the field); None otherwise."""
+    """Integer terms T, a positive integer m and a field tag ``make`` with
+    each value of ``terms`` equal to T[k]/m, or None:
+
+    * all ints and Fractions: T[k] is an int and ``make`` is Fraction;
+    * all Cyclo values of one field of degree 1, Q(zeta_1) or Q(zeta_2):
+      T[k] is an int and ``make`` is the field;
+    * all RatFunc values with a constant denominator: T[k] is an integer
+      polynomial and ``make`` is QQq (see :func:`_kronecker`).
+
+    For the first two, terms = {k: make(T[k], m)}."""
     first = next(iter(terms.values()), None)
+    if type(first) is RatFunc:
+        if any(type(c) is not RatFunc or len(c._den) > 1 for c in terms.values()):
+            return None
+        m = lcm(*{c._den[0] for c in terms.values()})
+        return {k: _int_mul(c._num, (m // c._den[0],)) for k, c in terms.items()}, m, QQq
     make = first.field if type(first) is Cyclo else Fraction
     if make is Fraction:
         if any(type(c) is not Fraction and type(c) is not int for c in terms.values()):
@@ -113,6 +132,53 @@ def _cleared_terms(terms: dict):
         return None
     m = lcm(*{d for _, d in parts})
     return {k: n * (m // d) for k, (n, d) in zip(terms, parts)}, m, make
+
+
+def _kronecker(parts: list, height: int):
+    """Kronecker substitution q = 2^B for dicts of integer polynomials: the
+    dicts with each polynomial P replaced by the int P(2^B), and ``make``
+    with make(P(2^B), m) the canonical RatFunc P/m.
+
+    ``height`` bounds the absolute value of every coefficient of the
+    polynomials to encode and to decode, and B = height.bit_length() + 1,
+    so that each lies below 2^(B-1).  Lemma (von zur Gathen and Gerhard,
+    *Modern Computer Algebra*, 8.4): a P in Z[q] with every |coefficient|
+    < 2^(B-1) is determined by P(2^B).  Its constant coefficient is the
+    residue of P(2^B) mod 2^B in [-2^(B-1), 2^(B-1)), and (P(2^B) - that)
+    / 2^B is the value of (P - P(0))/q; P(2^B) = 0 only for P = 0, since
+    the top term outweighs the sum of the others.  So the encoding is
+    injective, equal polynomials give equal ints, and an int sum is zero
+    exactly where the polynomial sum is."""
+    bits = height.bit_length() + 1
+    encoded = []
+    for terms in parts:
+        out = {}
+        for k, p in terms.items():
+            v = 0
+            for c in reversed(p):
+                v = (v << bits) + c
+            out[k] = v
+        encoded.append(out)
+    return encoded, partial(_from_kronecker, bits)
+
+
+def _from_kronecker(bits, value, m):
+    """The canonical RatFunc P/m for the P whose coefficients lie in
+    [-2^(bits-1), 2^(bits-1)) and P(2^bits) = value: the balanced base
+    2^bits digits of value, over m divided by its gcd with them."""
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    coeffs = []
+    while value:
+        c = ((value + half) & mask) - half
+        coeffs.append(c)
+        value = (value - c) >> bits
+    if m == 1 or not coeffs:
+        return _ratfunc(tuple(coeffs), _Z1)
+    g = gcd(m, *coeffs)
+    if g == 1:
+        return _ratfunc(tuple(coeffs), (m,))
+    return _ratfunc(tuple(c // g for c in coeffs), (m // g,))
 
 
 def _int_prem(a, b):
@@ -145,6 +211,19 @@ def _int_mul(a, b):
             for j, cb in enumerate(b, i):
                 out[j] += ca * cb
     return tuple(out)
+
+
+def _int_pow(a, k):
+    """a^k in Z[q] for k >= 0, with 0^0 = 1; a monomial c*q^j gives
+    c^k*q^(j*k) without a product."""
+    if not a:
+        return () if k else _Z1
+    if not any(a[:-1]):
+        return (0,) * ((len(a) - 1) * k) + (a[-1] ** k,)
+    out = _Z1
+    for _ in range(k):
+        out = _int_mul(out, a)
+    return out
 
 
 def _int_divexact(a, b):
@@ -378,6 +457,21 @@ class RatFunc(_FieldElement):
         return _ratfunc(*_int_cancel(_int_mul(n1, n2), _int_mul(d1, d2)))
 
     __rmul__ = __mul__
+
+    def __pow__(self, k):
+        # gcd(N, D) = 1 in Z[q], a unique factorization domain, gives
+        # gcd(N^k, D^k) = 1, and D^k keeps a positive leading coefficient:
+        # the power is canonical as it stands and takes no gcd
+        if not isinstance(k, int):
+            return NotImplemented
+        n, d = self._num, self._den
+        if k < 0:
+            if not n:
+                raise ZeroDivisionError("zero rational function to a negative power")
+            n, d, k = d, n, -k
+            if d[-1] < 0:
+                n, d = _pneg(n), _pneg(d)
+        return _ratfunc(_int_pow(n, k), _int_pow(d, k))
 
     def __truediv__(self, other):
         if type(other) is not RatFunc:

@@ -9,7 +9,7 @@ import pytest
 
 from peakforge import algebra, mr, oracle, sym
 from peakforge.combinatorics import colored_compositions, compositions
-from peakforge.scalars import QQ, Cyclo, QQq, cyclotomic_field
+from peakforge.scalars import QQ, Cyclo, QQq, RatFunc, _cleared_terms, cyclotomic_field
 
 # ---- margin matrices
 
@@ -160,8 +160,9 @@ def test_peeled_constants_edge_cases():
 
 # ---- the product kernels: words as keys, and rationals accumulated as integers
 
-# Q, Q(zeta_1) and Q(zeta_2) run on integers; Q(zeta_3) and Q(q) run the
-# field's own arithmetic
+# Q, Q(zeta_1) and Q(zeta_2) run on integers, Q(q) with constant
+# denominators on integers at q = 2^B; Q(zeta_3) runs the field's own
+# arithmetic
 FIELDS = (QQ, cyclotomic_field(1), cyclotomic_field(2), cyclotomic_field(3), QQq)
 
 
@@ -318,7 +319,7 @@ def _assert_same_terms(got, expected, ring):
 
 def test_word_substitution_matches_the_field_loop():
     # ribbons to complete words and back, and forgetting colours: over Q,
-    # Q(zeta_1) and Q(zeta_2) on integers, over Q(zeta_3) and Q(q) in the
+    # Q(zeta_1), Q(zeta_2) and Q(q) on integers, over Q(zeta_3) in the
     # field's arithmetic
     rng = random.Random(21)
     sym_keys = [I for n in range(1, 6) for I in compositions(n)]
@@ -341,6 +342,127 @@ def test_word_substitution_matches_the_field_loop():
         got = algebra.expand(terms, table)
         _assert_same_terms(got, _substituted_by_field(terms, table), ring)
         assert list(got) == [(1, 1), (2,)] and not got[(2,)]
+
+
+# ---- Q(q) values with a constant denominator: Kronecker substitution
+
+
+def _zq(coeffs, den=1):
+    """The rational function (sum of coeffs[i] q^i) / den."""
+    q = QQq.q
+    return sum((c * q**i for i, c in enumerate(coeffs)), QQq.zero) / den
+
+
+def _random_zq(rng, top=9):
+    # signed coefficients over a constant denominator; the values (2q + 4)/6
+    # and the like leave content for the constructor to cancel
+    coeffs = [rng.randint(-top, top) for _ in range(rng.randint(1, 4))]
+    return _zq(coeffs, rng.choice((1, 1, 2, 3, 6)))
+
+
+def _check_over_integers(kernel, operands, *args):
+    """The kernel through _over_integers, on the Kronecker path, against
+    the same kernel in RatFunc arithmetic: keys, their order, the kept zero
+    keys and canonical RatFunc values."""
+    for terms in operands:
+        assert _cleared_terms(terms)[2] is QQq
+    got = algebra._over_integers(kernel, operands, *args)
+    expected = kernel(*operands, *args)
+    assert list(got.items()) == list(expected.items())
+    for c, e in zip(got.values(), expected.values()):
+        assert type(c) is RatFunc and (c._num, c._den) == (e._num, e._den)
+    return got
+
+
+def _kernel_cases(u_sym, v_sym, u_mr, v_mr, u_perm, v_perm):
+    """(kernel, operands, args) for the four kernels behind _over_integers;
+    the sym operands are over compositions, the mr ones over colored
+    compositions and the perm ones over permutations of one degree."""
+    ribbons = partial(algebra._ribbon_table, add, True)
+    return [
+        (algebra._internal, (u_sym, v_sym), (sym.internal_structure, sum)),
+        (algebra._internal, (u_mr, v_mr), (mr.internal_structure, mr.MrElement.key_degree)),
+        (algebra._concatenate, (u_mr, v_mr), (mr.MrElement.key_degree, inf)),
+        (algebra._concatenate, (u_sym, v_sym), (sum, 4)),
+        (algebra._expand, (u_sym,), (ribbons,)),
+        (algebra._expand, (u_sym,), (partial(algebra._ribbon_table, add, False),)),
+        (algebra._expand, (u_mr,), (mr._forget_colors,)),
+        (algebra._compositions, (u_perm, v_perm), ()),
+    ]
+
+
+def test_kronecker_kernels_match_ratfunc_arithmetic():
+    rng = random.Random(22)
+    sym_keys = [I for n in range(1, 5) for I in compositions(n)]
+    mr_keys = [J for n in range(1, 4) for J in colored_compositions(n)]
+    perms = list(itertools.permutations(range(1, 5)))
+
+    def operand(keys, size):
+        return {k: _random_zq(rng) for k in rng.sample(keys, size)}
+
+    for _ in range(12):
+        cases = _kernel_cases(
+            operand(sym_keys, 6), operand(sym_keys, 6),
+            operand(mr_keys, 6), operand(mr_keys, 6),
+            operand(perms, 5), operand(perms, 5),
+        )
+        for kernel, operands, args in cases:
+            _check_over_integers(kernel, operands, *args)
+
+
+def test_kronecker_kernels_at_the_height_bound():
+    # one term per operand and one multiplier of absolute value 1 per result
+    # coefficient, so the l1 bound is attained: the results reach the
+    # height 2^k - 1 = 2^(B-1) - 1, and a B one bit short decodes them
+    # wrongly
+    for k in (1, 7, 31, 64, 100):
+        big = 2**k - 1
+        cases = _kernel_cases(
+            {(2,): _zq((0, big))}, {(2,): _zq((0, 1))},
+            {((1, 0),): _zq((0, 0, big))}, {((1, 0),): _zq((1,))},
+            {(1, 2, 3): _zq((big,))}, {(3, 1, 2): _zq((0, 1))},
+        )
+        ribbons = cases[4][2]
+        cases.append((algebra._expand, ({(1, 1): _zq((0, -big))},), ribbons))
+        for kernel, operands, args in cases:
+            got = _check_over_integers(kernel, operands, *args)
+            assert max(abs(c) for v in got.values() for c in v._num) == big, (k, kernel)
+        # -R_11 + R_2 = -S_11 + 2 S_2: the signed multiplier of R_11 adds to
+        # the bound of S_2, where the norms alone would cancel to 0
+        terms = {(1, 1): _zq((0, -big)), (2,): _zq((0, big))}
+        got = _check_over_integers(algebra._expand, (terms,), *ribbons)
+        assert got[(2,)] == _zq((0, 2 * big))
+
+
+def test_kronecker_keeps_cancelled_keys_and_reduces_constant_denominators():
+    p = _zq((1, -3, 0, 2))
+    # S11 * S11 = 2 S11 and S2 * S11 = S11: the key S11 cancels
+    u = {(1, 1): p / 3, (2,): -2 * p / 3, (1, 2): _zq((2, 4), 6)}
+    v = {(1, 1): _zq((0, 5), 2), (3,): _zq((3,), 2)}
+    got = _check_over_integers(algebra._internal, (u, v), sym.internal_structure, sum)
+    assert (1, 1) in got and got[(1, 1)] == 0
+    # S3 is the unit in degree 3: (4q + 2)/6 * 3/2 = (2q + 1)/2, the
+    # content 3 of the integer sum cancelling against the denominator 12
+    assert got[(1, 2)] == _zq((1, 2), 2)
+    # R_11 + R_2 = S_11 - S_2 + S_2: the key S_2 stays, with a zero
+    terms = {(1, 1): _zq((-1, 0, 7), 6), (2,): _zq((-1, 0, 7), 6)}
+    got = _check_over_integers(algebra._expand, (terms,), partial(algebra._ribbon_table, add, True))
+    assert list(got) == [(1, 1), (2,)] and got[(2,)] == 0
+    # and the zero RatFunc is the canonical zero
+    assert (got[(2,)]._num, got[(2,)]._den) == ((), (1,))
+    # zero values bound no result, so the operands' own heights keep their
+    # encodings apart: at q = 2, the values 2 and q would fall into one
+    # coefficient class of _compositions and reorder its keys
+    u = {(1, 2, 3): _zq((2,)), (2, 1, 3): _zq((0, 1))}
+    v = {(1, 2, 3): QQq.zero, (3, 1, 2): QQq.zero}
+    got = _check_over_integers(algebra._compositions, (u, v))
+    assert len(got) == 4 and not any(got.values())
+
+
+def test_non_constant_denominators_keep_the_field_path():
+    q = QQq.q
+    assert _cleared_terms({(1,): q, (2,): 1 / (1 - q)}) is None
+    assert _cleared_terms({(1,): q, (2,): Fraction(1, 2)}) is None
 
 
 def test_rational_times_cyclotomic_product():

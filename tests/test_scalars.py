@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -12,6 +13,7 @@ from peakforge.scalars import (
     RatFunc,
     SpecializationError,
     _int_gcd,
+    _kronecker,
     _padd,
     _pneg,
     _pstrip,
@@ -444,6 +446,58 @@ def test_ratfunc_one_denominator_and_int_multiple_examples():
     assert (half * 3)._num == (3,) and (half * 3)._den == (2, 2)
     assert (-4 * half)._num == (-2,) and (-4 * half)._den == (1, 1)
     assert 0 * half == 0 and (0 * half)._den == (1,)
+
+
+def _power_bases():
+    """Seeded bases: constants, monomials c*q^j/d, and quotients of
+    polynomials, many with a negative leading coefficient."""
+    rng = random.Random(22)
+    q = QQq.q
+    bases = [QQq.zero, QQq.one, QQq(-1), QQq(5), QQq(Fraction(-3, 4))]
+    for _ in range(8):
+        c = Fraction(rng.choice((-3, -2, -1, 1, 2, 5)), rng.randint(1, 4))
+        bases.append(c * q ** rng.randint(1, 5))
+    for _ in range(12):
+        num = _ratfunc([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))] + [-rng.randint(1, 3)])
+        den = _ratfunc([rng.randint(-4, 4) for _ in range(rng.randint(0, 3))] + [rng.choice((-2, -1, 1, 3))])
+        bases.append(num / den)
+    return bases
+
+
+def test_ratfunc_power_is_the_repeated_product():
+    for x in _power_bases():
+        for k in range(-3, 8):
+            if not x and k < 0:
+                with pytest.raises(ZeroDivisionError):
+                    x**k
+                continue
+            expected = QQq.one
+            for _ in range(abs(k)):
+                expected = expected * x
+            if k < 0:
+                expected = QQq.one / expected
+            got = x**k
+            _assert_canonical_ratfunc(got)
+            assert (got._num, got._den) == (expected._num, expected._den), (x, k)
+    assert QQq.zero**0 == 1
+    with pytest.raises(ZeroDivisionError):
+        QQq.zero ** -1
+
+
+def test_kronecker_round_trip_below_the_height():
+    # coefficients up to the height h = 2^k - 1 in absolute value decode
+    # from P(2^B), B = k + 1; a bound one bit short (B = k) loses +-h
+    rng = random.Random(22)
+    for k in (1, 5, 40):
+        h = 2**k - 1
+        polys = {i: tuple(rng.randint(-h, h) for _ in range(rng.randint(1, 6))) + (h,) for i in range(20)}
+        polys[20] = (-h, 0, h, -h)
+        [encoded], make = _kronecker([polys], h)
+        for i, p in polys.items():
+            assert make(encoded[i], 1)._num == p
+        if k > 1:
+            [short], make = _kronecker([polys], h // 2)
+            assert make(short[20], 1)._num != polys[20]
 
 
 def _canonical_cyclo(x):
