@@ -344,6 +344,15 @@ def colored_compositions(n: int, colors: int = 2):
             yield tuple(zip(comp, painting))
 
 
+@cache
+def sorted_compositions(n: int, colored: bool = False) -> tuple:
+    """The compositions of n, or its 2-colored compositions, sorted: one
+    tuple per degree and alphabet, cached and shared by every caller (the
+    ambient keys of the degree-n spans and the words of the letter
+    tables)."""
+    return tuple(sorted(colored_compositions(n) if colored else compositions(n)))
+
+
 def is_colored_composition(jc, colors: int = 2) -> bool:
     return all(
         isinstance(p, tuple) and len(p) == 2 and p[0] >= 1 and 0 <= p[1] < colors

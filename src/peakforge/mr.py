@@ -30,6 +30,7 @@ from .combinatorics import (
     flag_major_index,
     standardized_shape,
     barred_weight,
+    sorted_compositions,
     underlying_composition,
 )
 from .scalars import QQ, QQq, _int_mul, _ratfunc, ring_of
@@ -134,48 +135,52 @@ def internal_product(f: MrElement, g: MrElement) -> MrElement:
 # Series
 
 
-def _tagged(f: sym.SymElement, color: int) -> MrElement:
-    """A Sym series on one alphabet: every letter gets the same color."""
-    terms = {tuple((p, color) for p in I): c for I, c in f.terms.items()}
-    return MrElement(f.ring, S, terms, bound=f.bound)
-
-
 def sigma_series(ring, n_max: int, color: int = 0) -> MrElement:
-    return _tagged(sym.sigma_series(ring, n_max), color)
-
-
-def lambda_series(ring, n_max: int, t=None, color: int = 0) -> MrElement:
-    """sum_k t^k Lambda_k on the chosen alphabet, in the colored S basis."""
-    return _tagged(sym.lambda_series(ring, n_max, t), color)
+    """1 + S_1 + S_2 + ... on the chosen alphabet, truncated."""
+    terms = {(): ring(1)}
+    terms.update((((n, color),), ring(1)) for n in range(1, n_max + 1))
+    return MrElement(ring, S, terms, bound=n_max)
 
 
 def superization_series(q, n_max: int) -> MrElement:
     """The grouplike series lambda-bar_{-q} times sigma implementing the
-    alphabet transform A -> A - q Abar (the q-superization)."""
+    alphabet transform A -> A - q Abar (the q-superization), truncated: the
+    unit plus the letter tables of sizes 1..n_max on the plain alphabet."""
     ring = ring_of(q)
-    return product(
-        lambda_series(ring, n_max, t=-ring(q), color=1),
-        sigma_series(ring, n_max, color=0),
-    )
-
-
-def flat_series(n_max: int, ring=QQ) -> MrElement:
-    """lambda times sigma-bar, the bar image of the superization series at
-    q = -1."""
-    return product(
-        lambda_series(ring, n_max, color=0), sigma_series(ring, n_max, color=1)
-    )
+    terms = {(): ring.one}
+    for k in range(1, n_max + 1):
+        terms.update(_sharp_letter(q, (k, 0)))
+    return MrElement(ring, S, terms, bound=n_max)
 
 
 # typed: equal scalars of different fields, such as -1 in Q and in
 # Q(zeta_2), hash alike but give tables over different rings
 @lru_cache(maxsize=None, typed=True)
 def _sharp_letter(q, letter):
+    """S_k(A - q Abar) for the letter (k, c), the degree-k part of
+    sum_i (-q)^i Lambda_i S_(k-i) with Lambda_i on the other alphabet, in
+    closed form: the sum over i = 0..k and compositions I of i of
+    (-1)^len(I) q^i Ibar (k-i, c), sorted, where Ibar is I painted with
+    color 1-c and the tail (k-i, c) is absent when i = k.
+
+    Lemma: no two terms share a word.  The tail is the one letter of color
+    c, so a word gives back i and I."""
     size, color = letter
-    series = superization_series(q, size)
-    if color == 1:
-        series = bar(series)
-    return tuple(sorted(series.homogeneous(size).terms.items()))
+    ring = ring_of(q)
+    power = [ring.one, ring(q)]
+    for _ in range(1, size):
+        power.append(power[-1] * q)
+    out = []
+    for i in range(size + 1):
+        if not power[i]:  # q = 0
+            break
+        tail = ((size - i, color),) if i < size else ()
+        signed = (power[i], -power[i])
+        out.extend(
+            (tuple((p, 1 - color) for p in I) + tail, signed[len(I) % 2])
+            for I in sorted_compositions(i)
+        )
+    return tuple(sorted(out))
 
 
 def superization(f: MrElement, q) -> MrElement:

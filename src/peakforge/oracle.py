@@ -18,6 +18,7 @@ from .combinatorics import (
     format_composition,
     permutations_by_descent,
     signed_permutations_by_descent,
+    sorted_compositions,
     type_b_compositions,
 )
 from .linalg import GradedSubspace
@@ -118,9 +119,8 @@ def bsym_span(n: int) -> GradedSubspace:
     """Coordinate-tracked span over Q of the degree-n type-B complete basis
     elements, labelled by their type-B compositions: of rank 2^n exactly
     when they are independent."""
-    from .combinatorics import colored_compositions
-
-    space = GradedSubspace(QQ, sorted(colored_compositions(n)), degree=n, track=True)
+    keys = sorted_compositions(n, colored=True)
+    space = GradedSubspace(QQ, keys, degree=n, track=True)
     for comp in sorted(type_b_compositions(n)):
         space.insert(mr.bsym_complete(comp).terms, label=comp)
     return space

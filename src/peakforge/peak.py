@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .algebra import internal
-from .combinatorics import colored_compositions, compositions
-from .combinatorics import format_composition, type_b_compositions
+from .combinatorics import format_composition, sorted_compositions, type_b_compositions
 from .linalg import GradedSubspace
 from .scalars import QQ, QQq, cyclotomic_field
 from . import mr, oracle, sym
@@ -146,18 +145,14 @@ def _span(n: int, ring, keys, factors, lower) -> GradedSubspace:
 def _letter_images(ring, n: int, table, letters) -> list:
     """(k, terms of the image of x at q = zeta_r) for the letters x of each
     size k, k = 1..n in turn, read from the transform's cached letter
-    ``table``, without zero coefficients.
+    ``table``, which carries no zero coefficients.
 
     Both transforms are algebra maps, so the image of a word x.w is
     transform(x) times the image of w: these factors times the image spans
     of lower degree span the degree-n image.  Small letters go first: they
     keep the echelon rows sparse while the span fills, where large letters
     first leave dense partial rows to back-eliminate."""
-    return [
-        (k, {key: c for key, c in table(ring.zeta, x) if c})
-        for k in range(1, n + 1)
-        for x in letters(k)
-    ]
+    return [(k, dict(table(ring.zeta, x))) for k in range(1, n + 1) for x in letters(k)]
 
 
 @cache
@@ -166,7 +161,7 @@ def peak_subspace(n: int, r: int) -> GradedSubspace:
     Q(zeta_r)."""
     ring = cyclotomic_field(r)
     images = _letter_images(ring, n, sym._one_minus_q_letter, lambda k: (k,))
-    return _span(n, ring, sorted(compositions(n)), images, peak_subspace)
+    return _span(n, ring, sorted_compositions(n), images, peak_subspace)
 
 
 @cache
@@ -174,7 +169,7 @@ def unital_peak_subspace(n: int, r: int) -> GradedSubspace:
     """Degree-n span of S_k times the degree-(n-k) peak subspace."""
     ring = cyclotomic_field(r)
     units = [(k, {(k,) if k else (): 1}) for k in range(n + 1)]
-    return _span(n, ring, sorted(compositions(n)), units, peak_subspace)
+    return _span(n, ring, sorted_compositions(n), units, peak_subspace)
 
 
 @cache
@@ -183,7 +178,8 @@ def mr_sharp_subspace(n: int, r: int) -> GradedSubspace:
     over Q(zeta_r)."""
     ring = cyclotomic_field(r)
     images = _letter_images(ring, n, mr._sharp_letter, lambda k: ((k, 0), (k, 1)))
-    return _span(n, ring, sorted(colored_compositions(n)), images, mr_sharp_subspace)
+    keys = sorted_compositions(n, colored=True)
+    return _span(n, ring, keys, images, mr_sharp_subspace)
 
 
 @cache
@@ -192,7 +188,8 @@ def mr_sharp_module_subspace(n: int, r: int) -> GradedSubspace:
     superization image."""
     ring = cyclotomic_field(r)
     units = [(k, {((k, 0),) if k else (): 1}) for k in range(n + 1)]
-    return _span(n, ring, sorted(colored_compositions(n)), units, mr_sharp_subspace)
+    keys = sorted_compositions(n, colored=True)
+    return _span(n, ring, keys, units, mr_sharp_subspace)
 
 
 _BUILDERS = {

@@ -29,7 +29,7 @@ from .algebra import (
     peeled_structure,
     word_product,
 )
-from .combinatorics import compositions, permutations_by_descent
+from .combinatorics import compositions, permutations_by_descent, sorted_compositions
 from .scalars import ring_of
 
 L = "L"
@@ -149,32 +149,39 @@ def sigma_series(ring, n_max: int) -> SymElement:
     return SymElement(ring, S, terms, bound=n_max)
 
 
-def lambda_series(ring, n_max: int, t=None) -> SymElement:
-    """The elementary generating series sum_k t^k Lambda_k, truncated, in
-    the S basis.  ``t`` defaults to one."""
-    t = ring(1) if t is None else ring(t)
-    terms: dict = {(): ring(1)}
-    power = ring(1)
-    for k in range(1, n_max + 1):
-        power = power * t
-        # the words of distinct degrees are distinct: nothing accumulates
-        terms.update((I, sign * power) for I, sign in _alternating_words(k))
-    return SymElement(ring, S, terms, bound=n_max)
-
-
 def one_minus_q_series(q, n_max: int) -> SymElement:
-    """The grouplike series implementing the (1-q) alphabet transform:
-    lambda_{-q} times sigma, truncated."""
+    """The grouplike series implementing the (1-q) alphabet transform,
+    lambda_{-q} times sigma, truncated: the unit plus the letter tables of
+    sizes 1..n_max."""
     ring = ring_of(q)
-    return product(lambda_series(ring, n_max, t=-q), sigma_series(ring, n_max))
+    terms = {(): ring.one}
+    for k in range(1, n_max + 1):
+        terms.update(_one_minus_q_letter(q, k))
+    return SymElement(ring, S, terms, bound=n_max)
 
 
 # typed: equal scalars of different fields, such as -1 in Q and in
 # Q(zeta_2), hash alike but give tables over different rings
 @lru_cache(maxsize=None, typed=True)
 def _one_minus_q_letter(q, k: int):
-    series = one_minus_q_series(q, k)
-    return tuple(sorted(series.homogeneous(k).terms.items()))
+    """S_k((1-q)A), the degree-k part of sum_i (-q)^i Lambda_i S_(k-i), in
+    closed form: the sum over compositions I of k, with last part l and
+    length m, of (-1)^(m-1) (q^(k-l) - q^k) S^I, sorted, without zeros.
+
+    Lemma: a word I gets exactly two terms.  One is I itself in
+    (-q)^k Lambda_k, worth (-1)^m q^k; the other is I without its last
+    part in (-q)^(k-l) Lambda_(k-l), times S_l, worth (-1)^(m-1) q^(k-l).
+    At q = zeta_r the two cancel exactly when r divides l."""
+    ring = ring_of(q)
+    power = [ring.one, ring(q)]
+    for _ in range(1, k):
+        power.append(power[-1] * q)
+    by_last = [power[k - l] - power[k] for l in range(k + 1)]
+    return tuple(
+        (I, by_last[I[-1]] if len(I) % 2 else -by_last[I[-1]])
+        for I in sorted_compositions(k)
+        if by_last[I[-1]]
+    )
 
 
 def one_minus_q_transform(f: SymElement, q) -> SymElement:

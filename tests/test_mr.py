@@ -13,6 +13,13 @@ from peakforge.combinatorics import (
     type_b_compositions,
 )
 from peakforge.scalars import QQ, QQq, cyclotomic_field, ring_of
+import reference_series
+from reference_series import (
+    assert_same_table,
+    flat_series,
+    mr_lambda_series,
+    reference_table,
+)
 
 
 def MS(key, coeff=1, ring=QQ):
@@ -165,7 +172,7 @@ def test_superization_at_minus_one_is_flat_sum():
     q = ring(-1)
     got = mr.superization(MS(((3, 0),)), q)
     expected = mr.MrElement.zero(ring, mr.S)
-    lam = mr.lambda_series(ring, 3, color=1)
+    lam = mr_lambda_series(ring, 3, color=1)
     sig = mr.sigma_series(ring, 3, color=0)
     expected = mr.product(lam, sig).homogeneous(3)
     assert got == expected
@@ -174,10 +181,28 @@ def test_superization_at_minus_one_is_flat_sum():
 def test_superization_matches_internal_product():
     q = QQq.q
     for n in range(4):
-        series = mr.superization_series(q, n)
+        series = reference_series.superization_series(q, n)
         for key in colored_compositions(n):
             f = MS(key, ring=QQq)
             assert mr.superization(f, q) == mr.internal_product(f, series)
+
+
+def test_sharp_letter_closed_form_matches_lambda_sigma():
+    for q in reference_series.CLOSED_FORM_QS:
+        series = reference_series.superization_series(q, 7)
+        for k in range(1, 8):
+            plain = reference_table(series, k)
+            barred = reference_table(mr.bar(series), k)
+            assert_same_table(mr._sharp_letter(q, (k, 0)), plain)
+            assert_same_table(mr._sharp_letter(q, (k, 1)), barred)
+
+
+def test_superization_series_reads_the_letter_tables():
+    for q in (cyclotomic_field(3).zeta, QQ(-1), QQq.q):
+        for n in range(6):
+            series = mr.superization_series(q, n)
+            assert series == reference_series.superization_series(q, n)
+            assert series.bound == n
 
 
 def test_superization_is_bialgebra_endomorphism():
@@ -218,14 +243,14 @@ def test_flat_series_identities():
     # sigma-bar * sharp-series = flat-series at q = -1, degreewise
     n_max = 4
     sharp = mr.superization_series(QQ(-1), n_max)
-    flat = mr.flat_series(n_max)
+    flat = flat_series(n_max)
     for n in range(1, n_max + 1):
         sig_bar = MS(((n, 1),))
         assert mr.internal_product(sig_bar, sharp.homogeneous(n)) == flat.homogeneous(n)
     # lambda * (flat degree n) = (sharp degree n); the barred series instead
     # fixes the flat component, since lambda-bar = lambda * sigma-bar
-    lam = mr.lambda_series(QQ, n_max, color=0)
-    lam_bar = mr.lambda_series(QQ, n_max, color=1)
+    lam = mr_lambda_series(QQ, n_max, color=0)
+    lam_bar = mr_lambda_series(QQ, n_max, color=1)
     for n in range(1, n_max + 1):
         flat_n = flat.homogeneous(n)
         assert mr.internal_product(lam.homogeneous(n), flat_n) == sharp.homogeneous(n)
@@ -337,11 +362,16 @@ def test_letter_tables_keep_equal_scalars_of_different_fields_apart():
     # -1 in Q(zeta_2) equals -1 in Q and hashes alike; the cached letter
     # tables must still answer over the field they were asked for
     field = cyclotomic_field(2)
-    for ring, q in ((field, field.zeta), (QQ, QQ(-1))):
+    for ring, q in ((field, field.zeta), (QQ, QQ(-1)), (field, field(-1))):
         sharp = mr.superization(MS(((2, 0), (1, 1)), ring=ring), q)
         dilated = sym.one_minus_q_transform(sym.monomial(ring, (2, 1)), q)
         for c in [*sharp.terms.values(), *dilated.terms.values()]:
             assert ring_of(c) is ring
+        for k in range(1, 6):
+            tables = [sym._one_minus_q_letter(q, k)]
+            tables += [mr._sharp_letter(q, (k, color)) for color in (0, 1)]
+            for _, c in itertools.chain(*tables):
+                assert type(c) is type(ring.one) and ring_of(c) is ring
 
 
 def test_inverse_series_composes_to_sigma():

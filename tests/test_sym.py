@@ -5,6 +5,8 @@ from fractions import Fraction
 from peakforge import fqsym, sym
 from peakforge.combinatorics import compositions
 from peakforge.scalars import QQ, QQq, cyclotomic_field
+import reference_series
+from reference_series import assert_same_table, lambda_series, reference_table
 
 
 def S(key, coeff=1, ring=QQ):
@@ -54,7 +56,7 @@ def test_convert_round_trip():
 def test_elementary_series_is_inverse_of_complete_series():
     # lambda_t = (sigma_{-t})^{-1}: recompute degree by degree and compare
     n_max = 6
-    lam = sym.lambda_series(QQ, n_max)
+    lam = lambda_series(QQ, n_max)
     inverse_terms = {(): QQ(1)}
     # b_n = -sum_{k>=1} (-1)^k S_k . b_{n-k}, as words
     per_degree = {0: sym.unit(QQ)}
@@ -171,7 +173,7 @@ def test_internal_product_associative():
 
 
 def test_lambda_one_is_involutive_antiautomorphism():
-    lam = sym.lambda_series(QQ, 4)
+    lam = lambda_series(QQ, 4)
     for n in range(1, 5):
         ln = lam.homogeneous(n)
         for I in compositions(n):
@@ -190,7 +192,7 @@ def test_lambda_one_is_involutive_antiautomorphism():
 
 def test_lambda_minus_q_is_graded_antipode():
     q = QQq.q
-    lam = sym.lambda_series(QQq, 4, t=-q)
+    lam = lambda_series(QQq, 4, t=-q)
     for n in range(1, 5):
         ln = lam.homogeneous(n)
         for I in compositions(n):
@@ -230,7 +232,7 @@ def test_sigma_series_truncation():
 
 def test_lambda_minus_q_series_degree_2():
     q = QQq.q
-    lam = sym.lambda_series(QQq, 2, t=-q)
+    lam = lambda_series(QQq, 2, t=-q)
     assert lam.coefficient((2,)) == -(q**2)
     assert lam.coefficient((1, 1)) == q**2
     assert lam.coefficient((1,)) == -q
@@ -261,10 +263,41 @@ def test_one_minus_q_transform_examples():
 def test_one_minus_q_transform_matches_internal_product():
     q = QQq.q
     for n in range(5):
-        series = sym.one_minus_q_series(q, n)
+        series = reference_series.one_minus_q_series(q, n)
         for I in compositions(n):
             f = S(I, ring=QQq)
             assert sym.one_minus_q_transform(f, q) == sym.internal_product(f, series)
+
+
+def test_one_minus_q_letter_closed_form_matches_lambda_sigma():
+    for q in reference_series.CLOSED_FORM_QS:
+        series = reference_series.one_minus_q_series(q, 8)
+        for k in range(1, 9):
+            table = sym._one_minus_q_letter(q, k)
+            assert_same_table(table, reference_table(series, k))
+
+
+def test_one_minus_q_letter_leaves_out_the_zero_words():
+    # at q = zeta_r the two terms of a word cancel when r divides its last part
+    assert dict(sym._one_minus_q_letter(cyclotomic_field(2).zeta, 2)) == {
+        (1, 1): 2 * cyclotomic_field(2).one
+    }
+    for r in range(1, 9):
+        zeta = cyclotomic_field(r).zeta
+        for k in range(1, 9):
+            table = sym._one_minus_q_letter(zeta, k)
+            assert [I for I, _ in table] == [
+                I for I in compositions(k) if I[-1] % r
+            ]
+            assert all(c for _, c in table)
+
+
+def test_one_minus_q_series_reads_the_letter_tables():
+    for q in (cyclotomic_field(3).zeta, QQ(-1), QQq.q):
+        for n in range(6):
+            series = sym.one_minus_q_series(q, n)
+            assert series == reference_series.one_minus_q_series(q, n)
+            assert series.bound == n
 
 
 def test_one_minus_q_transform_is_algebra_morphism():
