@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import cache, partial
+from functools import cache, partial, reduce
 from math import inf, prod
 from operator import itemgetter
 
-from .scalars import QQq, _cleared_terms, _kronecker, common_ring, ring_of, scalar_str
+from .scalars import QQq, _cleared_terms, _int_mul, _kronecker, common_ring, ring_of, scalar_str
 
 
 def merge_bounds(a, b):
@@ -316,23 +316,22 @@ def letterwise(f: WordElement, q, letter):
 # supply only their key tables, whose entries are (key, multiplier) pairs
 # with the multiplier an int or a scalar.  The bilinear products and the
 # word substitution run on integers when their operands are rational, over
-# Q, Q(zeta_1) or Q(zeta_2), or integer polynomials over a constant in Q(q)
-# (see _over_integers): the fields' arithmetic would normalize every
-# product and sum.  Lemma: a result's keys, and their order, depend only on
-# the operands' keys, their order and which of their coefficients are equal
+# Q, Q(zeta_1) or Q(zeta_2), or rational functions of Q(q) (see
+# _over_integers): the fields' arithmetic would normalize every product and
+# sum.  Lemma: a result's keys, and their order, depend only on the
+# operands' keys, their order and which of their coefficients are equal
 # (_compositions groups keys by coefficient).  Each loop visits keys and
 # table entries in that order, inserts a key when it first meets it and
 # never removes one.  Clearing denominators scales an operand by one
-# nonzero constant, which keeps all three; so does the evaluation of the
-# cleared polynomials at q = 2^B, which is injective on polynomials whose
-# coefficients lie below 2^(B-1) in absolute value.
+# nonzero element of Z[q], which keeps all three; so does the evaluation of
+# the cleared polynomials at q = 2^B, which is injective on polynomials
+# whose coefficients lie below 2^(B-1) in absolute value.
 
 
 def expand(terms: dict, table) -> dict:
     """Word substitution: each key is replaced by the combination
-    ``table(key)``, whose multipliers are ints.  Rational coefficients, and
-    Q(q) ones with a constant denominator, are accumulated as integers (see
-    :func:`_over_integers`)."""
+    ``table(key)``, whose multipliers are ints.  Rational and Q(q)
+    coefficients are accumulated as integers (see :func:`_over_integers`)."""
     return _over_integers(_expand, (terms,), table)
 
 
@@ -379,9 +378,9 @@ def internal(u: dict, v: dict, structure, degree) -> dict:
     (key, multiplicity) pairs; cross-degree products vanish, so ``v`` is
     grouped by ``degree`` once and only pairs of equal degree are
     evaluated.  Each pair reads ``structure`` once, so a cached structure
-    callable is the one cache of the constants.  Rational coefficients, and
-    Q(q) ones with a constant denominator, are accumulated as integers (see
-    :func:`_over_integers`).  Cancelled keys stay, with zero coefficients.
+    callable is the one cache of the constants.  Rational and Q(q)
+    coefficients are accumulated as integers (see :func:`_over_integers`).
+    Cancelled keys stay, with zero coefficients.
     """
     return _over_integers(_internal, (u, v), structure, degree)
 
@@ -422,25 +421,29 @@ def _concatenate(u: dict, v: dict, degree, limit) -> dict:
 def _over_integers(kernel, operands: tuple, *args) -> dict:
     """``kernel(*operands, *args)`` for a kernel linear in each of its term
     dicts ``operands`` (one or two).  When every coefficient of them is a
-    rational of one field, Q, Q(zeta_1) or Q(zeta_2), or a rational
-    function of Q(q) with a constant denominator, the kernel runs on
-    integer multiples D*t of each operand t, and each sum is divided by the
-    product of the D's once.  Over Q(q) the integer polynomials D*t run
-    evaluated at q = 2^B (:func:`~peakforge.scalars._kronecker`, whose
-    docstring has the lemma), with B above the l1 height of every operand
-    and result: the same kernel run on the operands' l1 norms, with each
-    multiplier taken in absolute value (:class:`_Height`), bounds it.  A
-    sum cancels exactly where it does in the field, and equal coefficients
-    stay equal, so the keys and their order are the same."""
+    rational of one field, Q, Q(zeta_1) or Q(zeta_2), or every one is a
+    rational function of Q(q), the kernel runs on integer multiples D*t of
+    each operand t, D the lcm of its denominators (in Z[q] over Q(q)), and
+    each sum is divided by the product of the D's once.  Over Q(q) the
+    integer polynomials D*t run evaluated at q = 2^B
+    (:func:`~peakforge.scalars._kronecker`, whose docstring has the lemma),
+    with B above the l1 height of every operand and result: the same kernel
+    run on the operands' l1 norms, with each multiplier taken in absolute
+    value (:class:`_Height`), bounds it.  A sum cancels exactly where it
+    does in the field, and equal coefficients stay equal, so the keys and
+    their order are the same.  Q(zeta_r) for r >= 3 keeps the field
+    arithmetic: there the height run and the decoding cost more than the
+    closed-form products of degree 2."""
     cleared = []
     for terms in operands:
         part = _cleared_terms(terms)
         if part is None or (cleared and part[2] != cleared[0][2]):
             return kernel(*operands, *args)
         cleared.append(part)
-    den = prod(d for _, d, _ in cleared)
     parts = [t for t, _, _ in cleared]
     make = cleared[0][2]
+    dens = [d for _, d, _ in cleared]
+    den = reduce(_int_mul, dens) if make is QQq else prod(dens)
     if make is QQq:
         norms = [{k: _Height(sum(map(abs, p))) for k, p in t.items()} for t in parts]
         bound = kernel(*norms, *args)

@@ -98,15 +98,6 @@ def inverse(perm):
     return tuple(inv)
 
 
-def compose(u, v):
-    """(u o v)(i) = u(v(i))."""
-    return tuple(u[x - 1] for x in v)
-
-
-def descent_positions(perm) -> tuple[int, ...]:
-    return tuple(i + 1 for i in range(len(perm) - 1) if perm[i] > perm[i + 1])
-
-
 def descent_composition(perm) -> tuple[int, ...]:
     """The composition of n recording the descent set of a permutation,
     read off in one scan.
@@ -153,19 +144,6 @@ def left_right_minima(perm) -> tuple[frozenset, int]:
     return frozenset(mins), len(mins)
 
 
-def hook_size(perm):
-    """k >= 0 when the descent set is exactly {1, ..., k}, else None.
-
-    >>> hook_size((1, 2, 3)), hook_size((3, 2, 1)), hook_size((1, 3, 2, 4))
-    (0, 2, None)
-    """
-    descents = descent_positions(perm)
-    k = len(descents)
-    if descents == tuple(range(1, k + 1)):
-        return k
-    return None
-
-
 def lex_min_permutation(comp: tuple[int, ...]):
     """The lexicographically smallest permutation whose descent composition
     is ``comp``.
@@ -207,60 +185,18 @@ def permutations_by_descent(n: int) -> MappingProxyType:
 # ---- weak order -----------------------------------------------------------
 
 
-def inversion_mask(perm) -> int:
-    """Bitmask of value inversions: bit for each pair a < b with a after b."""
-    pos = {v: i for i, v in enumerate(perm)}
-    mask = 0
-    bit = 0
-    n = len(perm)
-    for b in range(2, n + 1):
-        for a in range(1, b):
-            if pos[a] > pos[b]:
-                mask |= 1 << bit
-            bit += 1
-    return mask
-
-
-def weak_order_leq(u, v) -> bool:
-    """u <= v in right weak order (inversion-set containment)."""
-    mu, mv = inversion_mask(u), inversion_mask(v)
-    return mu | mv == mv
-
-
-@cache
-def weak_order_ideal(perm) -> frozenset:
-    """All permutations below ``perm`` in right weak order, inclusive.
-
-    Covers go down by undoing a descent (swapping an adjacent out-of-order
-    pair of positions).
-
-    >>> sorted(weak_order_ideal((2, 3, 1)))
-    [(1, 2, 3), (2, 1, 3), (2, 3, 1)]
-    """
-    seen = {perm}
-    stack = [perm]
-    while stack:
-        u = stack.pop()
-        for i in range(len(u) - 1):
-            if u[i] > u[i + 1]:
-                v = u[:i] + (u[i + 1], u[i]) + u[i + 2 :]
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-    return frozenset(seen)
-
-
 @cache
 def inverse_inversion_masks(n: int) -> MappingProxyType:
-    """Permutation sigma -> :func:`inversion_mask` of its inverse, for one
-    degree, as a read-only mapping (the table is cached and shared).
+    """Permutation sigma -> the bitmask of the value inversions of its
+    inverse, for one degree, as a read-only mapping (the table is cached
+    and shared).
 
     Bit (a, b), a < b, is set iff sigma(a) > sigma(b), so u lies in the weak
     order ideal of the inverse of sigma iff the mask of the inverse of u is
     contained in the mask of sigma.
 
-    >>> inverse_inversion_masks(3)[(2, 3, 1)] == inversion_mask((3, 1, 2))
-    True
+    >>> inverse_inversion_masks(3)[(2, 3, 1)]
+    6
     """
     pairs = [(a, b) for b in range(1, n) for a in range(b)]
     bits = [(1 << i, a, b) for i, (a, b) in enumerate(pairs)]
@@ -278,17 +214,6 @@ def signed_permutations(n: int):
     for p in permutations(n):
         for signs in itertools.product((1, -1), repeat=n):
             yield tuple(s * v for s, v in zip(signs, p))
-
-
-def compose_signed(u, v):
-    """(u o v)(i) = u(v(i)), with u(-j) = -u(j)."""
-    out = []
-    for x in v:
-        if x > 0:
-            out.append(u[x - 1])
-        else:
-            out.append(-u[-x - 1])
-    return tuple(out)
 
 
 def signed_descent_set(w) -> tuple[int, ...]:

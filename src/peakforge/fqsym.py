@@ -16,14 +16,7 @@ out of scope here.
 from __future__ import annotations
 
 from .algebra import Element, _compositions, _over_integers, by_coefficient, merge_bounds
-from .combinatorics import (
-    hook_size,
-    inverse,
-    inverse_inversion_masks,
-    left_right_minima,
-    permutations,
-    weak_order_ideal,
-)
+from .combinatorics import inverse, inverse_inversion_masks, left_right_minima, permutations
 from .scalars import ring_of
 
 G, F, M = "G", "F", "M"
@@ -176,21 +169,6 @@ def internal_product(f: FqsymElement, g: FqsymElement) -> FqsymElement:
             out.update(_over_integers(_compositions, (terms, right[n])))
     result = FqsymElement(a.ring, F, out, bound=merge_bounds(a.bound, b.bound))
     return convert(result, f.basis)
-
-
-def monomial_dual(p, ring) -> FqsymElement:
-    """The dual basis element of M_p, expanded over the F basis: the sum of
-    F_tau over the weak-order ideal of the inverse of p (inclusive)."""
-    terms = {tau: ring(1) for tau in weak_order_ideal(inverse(tuple(p)))}
-    return FqsymElement(ring, F, terms)
-
-
-def hook_evaluation(p, q):
-    """The specialization F_p(1-q): (-q)^k when the descent set of p is
-    {1, ..., k} (k = 0 for no descents), zero otherwise."""
-    ring = ring_of(q)
-    k = hook_size(tuple(p))
-    return ring(0) if k is None else (-ring(q)) ** k
 
 
 def complete_monomial_expansion(n: int, q) -> FqsymElement:

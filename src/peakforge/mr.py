@@ -28,8 +28,6 @@ from .combinatorics import (
     colored_compositions,
     colored_weight,
     flag_major_index,
-    standardized_shape,
-    barred_weight,
     sorted_compositions,
     underlying_composition,
 )
@@ -304,18 +302,3 @@ def klyachko_element(n: int, mode: str = "closed_form") -> MrElement:
         terms = {jc: q ** flag_major_index(jc) for jc in colored_compositions(n)}
         return MrElement(QQq, R, terms)
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def ordinal_ribbon_expansion(comp, q) -> MrElement:
-    """Expansion of a plain ribbon over the ordinal sum of the two
-    alphabets (the barred one scaled by q): the sum of q^(barred letters)
-    R_J over the colored compositions J whose attached unsigned shape is
-    the given composition."""
-    ring = ring_of(q)
-    comp = tuple(comp)
-    n = sum(comp)
-    terms = {}
-    for jc in colored_compositions(n):
-        if standardized_shape(jc) == comp:
-            terms[jc] = ring(q) ** barred_weight(jc)
-    return MrElement(ring, R, terms)

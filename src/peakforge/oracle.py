@@ -41,10 +41,6 @@ class GroupAlgebraElement(Element):
         return self.basis
 
 
-def delta(ring, word, group=SYMMETRIC, coeff=1) -> GroupAlgebraElement:
-    return GroupAlgebraElement(ring, group, {tuple(word): ring(coeff)})
-
-
 def group_product(f: GroupAlgebraElement, g: GroupAlgebraElement) -> GroupAlgebraElement:
     """Bilinear extension of composition: (u o v)(i) = u(v(i))."""
     if f.group != g.group:

@@ -23,10 +23,11 @@ the ``num``/``den``/``coeffs`` views.
 
 The sparse kernels of :mod:`peakforge.algebra` skip the field arithmetic
 where they can: :func:`_cleared_terms` writes a dict of values as integer
-terms over one positive integer, for rationals of Q, Q(zeta_1) and
-Q(zeta_2) and for rational functions with a constant denominator, whose
-integer polynomials :func:`_kronecker` then evaluates at q = 2^B so that a
-kernel runs on ints (Kronecker substitution) and decodes its sums exactly.
+terms over one denominator, a positive integer for rationals of Q,
+Q(zeta_1) and Q(zeta_2) and the lcm of the denominators in Z[q] for
+rational functions, whose integer polynomials :func:`_kronecker` then
+evaluates at q = 2^B so that a kernel runs on ints (Kronecker
+substitution) and decodes its sums exactly.
 
 Elements are immutable, hashable, support ``+ - * / **`` with ``int`` and
 ``Fraction`` coercion, and are always kept in canonical form, so ``==`` is
@@ -105,22 +106,29 @@ def _int_cleared(coeffs):
 
 
 def _cleared_terms(terms: dict):
-    """Integer terms T, a positive integer m and a field tag ``make`` with
-    each value of ``terms`` equal to T[k]/m, or None:
+    """Integer terms T, a denominator m and a field tag ``make`` with each
+    value of ``terms`` equal to T[k]/m, or None:
 
-    * all ints and Fractions: T[k] is an int and ``make`` is Fraction;
+    * all ints and Fractions: T[k] is an int, m a positive integer and
+      ``make`` is Fraction;
     * all Cyclo values of one field of degree 1, Q(zeta_1) or Q(zeta_2):
-      T[k] is an int and ``make`` is the field;
-    * all RatFunc values with a constant denominator: T[k] is an integer
-      polynomial and ``make`` is QQq (see :func:`_kronecker`).
+      T[k] is an int, m a positive integer and ``make`` is the field;
+    * all RatFunc values: T[k] is an integer polynomial, m the lcm of the
+      denominators in Z[q], with a positive leading coefficient, and
+      ``make`` is QQq (see :func:`_kronecker`).  Each denominator D divides
+      m in Z[q], a unique factorization domain, so T[k] = N*(m/D) is exact.
 
     For the first two, terms = {k: make(T[k], m)}."""
     first = next(iter(terms.values()), None)
     if type(first) is RatFunc:
-        if any(type(c) is not RatFunc or len(c._den) > 1 for c in terms.values()):
+        if any(type(c) is not RatFunc for c in terms.values()):
             return None
-        m = lcm(*{c._den[0] for c in terms.values()})
-        return {k: _int_mul(c._num, (m // c._den[0],)) for k, c in terms.items()}, m, QQq
+        dens = {c._den for c in terms.values()}
+        m = _Z1
+        for d in dens:
+            m = _int_mul(m, _int_divexact(d, _int_gcd(m, d)))
+        scale = {d: _int_divexact(m, d) for d in dens}
+        return {k: _int_mul(c._num, scale[c._den]) for k, c in terms.items()}, m, QQq
     make = first.field if type(first) is Cyclo else Fraction
     if make is Fraction:
         if any(type(c) is not Fraction and type(c) is not int for c in terms.values()):
@@ -137,7 +145,8 @@ def _cleared_terms(terms: dict):
 def _kronecker(parts: list, height: int):
     """Kronecker substitution q = 2^B for dicts of integer polynomials: the
     dicts with each polynomial P replaced by the int P(2^B), and ``make``
-    with make(P(2^B), m) the canonical RatFunc P/m.
+    with make(P(2^B), m) the canonical RatFunc P/m, for an integer
+    polynomial m with a positive leading coefficient.
 
     ``height`` bounds the absolute value of every coefficient of the
     polynomials to encode and to decode, and B = height.bit_length() + 1,
@@ -164,8 +173,9 @@ def _kronecker(parts: list, height: int):
 
 def _from_kronecker(bits, value, m):
     """The canonical RatFunc P/m for the P whose coefficients lie in
-    [-2^(bits-1), 2^(bits-1)) and P(2^bits) = value: the balanced base
-    2^bits digits of value, over m divided by its gcd with them."""
+    [-2^(bits-1), 2^(bits-1)) and P(2^bits) = value, and an integer
+    polynomial m with a positive leading coefficient: the balanced base
+    2^bits digits of value, over m, both divided by their gcd in Z[q]."""
     half = 1 << (bits - 1)
     mask = (1 << bits) - 1
     coeffs = []
@@ -173,12 +183,9 @@ def _from_kronecker(bits, value, m):
         c = ((value + half) & mask) - half
         coeffs.append(c)
         value = (value - c) >> bits
-    if m == 1 or not coeffs:
+    if m == _Z1:
         return _ratfunc(tuple(coeffs), _Z1)
-    g = gcd(m, *coeffs)
-    if g == 1:
-        return _ratfunc(tuple(coeffs), (m,))
-    return _ratfunc(tuple(c // g for c in coeffs), (m // g,))
+    return _ratfunc(*_int_cancel(tuple(coeffs), m))
 
 
 def _int_prem(a, b):
@@ -358,9 +365,6 @@ class RatFunc(_FieldElement):
     A sum is (n1*d2 + n2*d1)/(d1*d2) and a product (n1*n2)/(d1*d2), each
     divided by the gcd of its numerator and denominator; when both
     denominators are 1 the result is already canonical and takes no gcd.
-    Over one denominator d a sum is (n1 + n2)/d, divided by its gcd with d.
-    A product by an integer constant k is (k*n1)/d1: n1 is prime to d1, so
-    the gcd is that of k and the content of d1.
 
     ``num`` and ``den`` give the same value with a monic denominator, as
     tuples of Fraction.  Construct values from ``QQq.q`` by arithmetic
@@ -432,10 +436,8 @@ class RatFunc(_FieldElement):
                 return NotImplemented
         n1, d1 = self._num, self._den
         n2, d2 = other._num, other._den
-        if d1 == d2:
-            if d1 == _Z1:
-                return _ratfunc(_padd(n1, n2), _Z1)
-            return _ratfunc(*_int_cancel(_padd(n1, n2), d1))
+        if d1 == _Z1 and d2 == _Z1:
+            return _ratfunc(_padd(n1, n2), _Z1)
         n = _padd(_int_mul(n1, d2), _int_mul(n2, d1))
         return _ratfunc(*_int_cancel(n, _int_mul(d1, d2)))
 
@@ -450,10 +452,6 @@ class RatFunc(_FieldElement):
         n2, d2 = other._num, other._den
         if d1 == _Z1 and d2 == _Z1:
             return _ratfunc(_int_mul(n1, n2), _Z1)
-        if d2 == _Z1 and len(n2) == 1:
-            return _int_multiple(n1, d1, n2[0])
-        if d1 == _Z1 and len(n1) == 1:
-            return _int_multiple(n2, d2, n1[0])
         return _ratfunc(*_int_cancel(_int_mul(n1, n2), _int_mul(d1, d2)))
 
     __rmul__ = __mul__
@@ -500,14 +498,6 @@ def _ratfunc(num, den):
     r._num = num
     r._den = den
     return r
-
-
-def _int_multiple(num, den, k):
-    """(k*num)/den for a canonical num/den and a nonzero int k."""
-    g = gcd(k, *den)
-    if g == 1:
-        return _ratfunc(_int_mul(num, (k,)), den)
-    return _ratfunc(_int_mul(num, (k // g,)), tuple(c // g for c in den))
 
 
 # --------------------------------------------------------------------------

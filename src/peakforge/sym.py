@@ -123,22 +123,7 @@ def internal_product(f: SymElement, g: SymElement) -> SymElement:
 
 
 # --------------------------------------------------------------------------
-# Antipode and series
-
-
-@cache
-def _antipode_letter(k: int):
-    sign = -1 if k % 2 else 1
-    return tuple((I, sign * s) for I, s in _alternating_words(k))
-
-
-def antipode(f: SymElement) -> SymElement:
-    """The Hopf antipode: S_n maps to (-1)^n times the n-th elementary, and
-    products reverse."""
-    a = convert(f, S)
-    reversed_terms = {word[::-1]: c for word, c in a.terms.items()}
-    out = expand_letters(reversed_terms, _antipode_letter)
-    return convert(SymElement(a.ring, S, out, bound=a.bound), f.basis)
+# Series
 
 
 def sigma_series(ring, n_max: int) -> SymElement:

@@ -10,6 +10,7 @@ import pytest
 from peakforge import algebra, mr, oracle, sym
 from peakforge.combinatorics import colored_compositions, compositions
 from peakforge.scalars import QQ, Cyclo, QQq, RatFunc, _cleared_terms, cyclotomic_field
+from reference_permutations import delta
 
 # ---- margin matrices
 
@@ -344,7 +345,7 @@ def test_word_substitution_matches_the_field_loop():
         assert list(got) == [(1, 1), (2,)] and not got[(2,)]
 
 
-# ---- Q(q) values with a constant denominator: Kronecker substitution
+# ---- Q(q) values cleared to integer polynomials: Kronecker substitution
 
 
 def _zq(coeffs, den=1):
@@ -358,6 +359,15 @@ def _random_zq(rng, top=9):
     # and the like leave content for the constructor to cancel
     coeffs = [rng.randint(-top, top) for _ in range(rng.randint(1, 4))]
     return _zq(coeffs, rng.choice((1, 1, 2, 3, 6)))
+
+
+# denominators with shared factors (1 - q, 1 + q) and an integer content, so
+# that the lcm of an operand's denominators is a proper multiple of each
+_DENOMINATORS = ((1, -1), (1, 1), (1, 0, -1), (2, 4), (1, -1, 0, 1), (3, 0, 3), (1, -2, 1))
+
+
+def _random_qq(rng):
+    return _random_zq(rng) / _zq(rng.choice(_DENOMINATORS))
 
 
 def _check_over_integers(kernel, operands, *args):
@@ -408,6 +418,35 @@ def test_kronecker_kernels_match_ratfunc_arithmetic():
         )
         for kernel, operands, args in cases:
             _check_over_integers(kernel, operands, *args)
+    # the same with non-constant denominators, distinct within each operand
+    for _ in range(6):
+        dicts = []
+        for keys, size in ((sym_keys, 4), (sym_keys, 4), (mr_keys, 4), (mr_keys, 4), (perms, 3), (perms, 3)):
+            values = {}
+            while len(values) < size:
+                x = _random_qq(rng)
+                if len(x._den) > 1:
+                    values.setdefault(x._den, x)
+            dicts.append(dict(zip(rng.sample(keys, size), values.values())))
+        for kernel, operands, args in _kernel_cases(*dicts):
+            _check_over_integers(kernel, operands, *args)
+    # R_111 = S_111 - S_12 - S_21 + S_3, R_12 = S_12 - S_3, R_21 = S_21 - S_3
+    # and R_3 = S_3: the S_3 sums cancel, to 0 in the first case and to the
+    # denominator 1 in the second, with all the operands' denominators
+    # non-constant
+    q = QQq.q
+    one = QQq.one
+    ribbons = partial(algebra._ribbon_table, add, True)
+    cases = (
+        ((one / (1 - q), one / (1 + q), 2 / (1 - q**2), 2 / (1 + q)), QQq.zero),
+        ((one / (1 - q), QQq.zero, 2 * q / (1 - q**2), q / (1 + q)), QQq.one),
+    )
+    for (u111, u12, u21, u3), s3 in cases:
+        terms = {(1, 1, 1): u111, (1, 2): u12, (2, 1): u21, (3,): u3}
+        terms = {k: c for k, c in terms.items() if c}
+        assert all(len(c._den) > 1 for c in terms.values())
+        got = _check_over_integers(algebra._expand, (terms,), ribbons)
+        assert (3,) in got and got[(3,)] == s3 and got[(3,)]._den == (1,)
 
 
 def test_kronecker_kernels_at_the_height_bound():
@@ -459,9 +498,15 @@ def test_kronecker_keeps_cancelled_keys_and_reduces_constant_denominators():
     assert len(got) == 4 and not any(got.values())
 
 
-def test_non_constant_denominators_keep_the_field_path():
+def test_rational_functions_clear_to_the_lcm_of_their_denominators():
     q = QQq.q
-    assert _cleared_terms({(1,): q, (2,): 1 / (1 - q)}) is None
+    terms = {(1,): q, (2,): 1 / (1 - q), (3,): q / (1 - q**2)}
+    cleared, m, make = _cleared_terms(terms)
+    # the lcm is q^2 - 1, with a positive leading coefficient
+    assert make is QQq and m == (-1, 0, 1)
+    for k, c in terms.items():
+        assert RatFunc(cleared[k], m) == c
+    # a Fraction among RatFuncs is not cleared: the field path takes it
     assert _cleared_terms({(1,): q, (2,): Fraction(1, 2)}) is None
 
 
@@ -499,10 +544,10 @@ def test_elements_over_rings_with_no_common_field_are_unequal():
 
 
 def test_elements_of_different_groups_stay_unequal():
-    sn = oracle.delta(QQ, (1,), oracle.SYMMETRIC)
-    bn = oracle.delta(QQ, (1,), oracle.HYPEROCTAHEDRAL)
+    sn = delta(QQ, (1,), oracle.SYMMETRIC)
+    bn = delta(QQ, (1,), oracle.HYPEROCTAHEDRAL)
     assert sn != bn and bn != sn
-    assert sn == oracle.delta(QQ, (1,), oracle.SYMMETRIC)
+    assert sn == delta(QQ, (1,), oracle.SYMMETRIC)
     # each group is an algebra of its own, with no change of basis between
     for f, basis in ((sn, oracle.HYPEROCTAHEDRAL), (bn, oracle.SYMMETRIC)):
         with pytest.raises(ValueError) as exc:

@@ -494,10 +494,10 @@ def test_kronecker_round_trip_below_the_height():
         polys[20] = (-h, 0, h, -h)
         [encoded], make = _kronecker([polys], h)
         for i, p in polys.items():
-            assert make(encoded[i], 1)._num == p
+            assert make(encoded[i], (1,))._num == p
         if k > 1:
             [short], make = _kronecker([polys], h // 2)
-            assert make(short[20], 1)._num != polys[20]
+            assert make(short[20], (1,))._num != polys[20]
 
 
 def _canonical_cyclo(x):
