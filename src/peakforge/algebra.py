@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import cache, partial, reduce
-from math import inf, prod
+from functools import cache, partial
+from math import inf
 from operator import itemgetter
 
-from .scalars import QQq, _cleared_terms, _int_mul, _kronecker, common_ring, ring_of, scalar_str
+from .scalars import common_ring, over_integers, ring_of, scalar_str
 
 
 def merge_bounds(a, b):
@@ -65,9 +65,6 @@ class Element:
     @staticmethod
     def key_degree(key) -> int:
         raise NotImplementedError
-
-    def degrees(self):
-        return sorted({self.key_degree(k) for k in self.terms})
 
     def homogeneous(self, d):
         cls = type(self)
@@ -266,7 +263,7 @@ def word_product(f: WordElement, g: WordElement):
     a, b = f.convert(S)._aligned(g.convert(S))
     bound = merge_bounds(a.bound, b.bound)
     limit = inf if bound is None else bound
-    terms = _over_integers(_concatenate, (a.terms, b.terms), f.key_degree, limit)
+    terms = over_integers(_concatenate, (a.terms, b.terms), f.key_degree, limit)
     return type(f)(a.ring, S, terms, bound=bound).convert(f.basis)
 
 
@@ -314,25 +311,20 @@ def letterwise(f: WordElement, q, letter):
 # result keeps the keys whose terms cancel, with zero coefficients: zeros
 # leave at the Element or GradedSubspace the result reaches.  The algebras
 # supply only their key tables, whose entries are (key, multiplier) pairs
-# with the multiplier an int or a scalar.  The bilinear products and the
-# word substitution run on integers when their operands are rational, over
-# Q, Q(zeta_1) or Q(zeta_2), or rational functions of Q(q) (see
-# _over_integers): the fields' arithmetic would normalize every product and
-# sum.  Lemma: a result's keys, and their order, depend only on the
-# operands' keys, their order and which of their coefficients are equal
-# (_compositions groups keys by coefficient).  Each loop visits keys and
-# table entries in that order, inserts a key when it first meets it and
-# never removes one.  Clearing denominators scales an operand by one
-# nonzero element of Z[q], which keeps all three; so does the evaluation of
-# the cleared polynomials at q = 2^B, which is injective on polynomials
-# whose coefficients lie below 2^(B-1) in absolute value.
+# with the multiplier an int or a scalar.  Each loop visits keys and table
+# entries in the order of its operands, inserts a key when it first meets
+# it and never removes one (_compositions groups keys by coefficient), so
+# its keys and their order depend only on the operands' keys, their order
+# and which of their coefficients are equal: the contract under which
+# scalars.over_integers runs the bilinear products and the word
+# substitution on integers (the scalars module docstring says where).
 
 
 def expand(terms: dict, table) -> dict:
     """Word substitution: each key is replaced by the combination
-    ``table(key)``, whose multipliers are ints.  Rational and Q(q)
-    coefficients are accumulated as integers (see :func:`_over_integers`)."""
-    return _over_integers(_expand, (terms,), table)
+    ``table(key)``, whose multipliers are ints, through
+    :func:`~peakforge.scalars.over_integers`."""
+    return over_integers(_expand, (terms,), table)
 
 
 def _expand(terms: dict, table) -> dict:
@@ -378,11 +370,11 @@ def internal(u: dict, v: dict, structure, degree) -> dict:
     (key, multiplicity) pairs; cross-degree products vanish, so ``v`` is
     grouped by ``degree`` once and only pairs of equal degree are
     evaluated.  Each pair reads ``structure`` once, so a cached structure
-    callable is the one cache of the constants.  Rational and Q(q)
-    coefficients are accumulated as integers (see :func:`_over_integers`).
-    Cancelled keys stay, with zero coefficients.
+    callable is the one cache of the constants.  It runs through
+    :func:`~peakforge.scalars.over_integers`.  Cancelled keys stay, with
+    zero coefficients.
     """
-    return _over_integers(_internal, (u, v), structure, degree)
+    return over_integers(_internal, (u, v), structure, degree)
 
 
 def _internal(u: dict, v: dict, structure, degree) -> dict:
@@ -416,54 +408,6 @@ def _concatenate(u: dict, v: dict, degree, limit) -> dict:
                     s = out.get(key)
                     out[key] = c if s is None else s + c
     return out
-
-
-def _over_integers(kernel, operands: tuple, *args) -> dict:
-    """``kernel(*operands, *args)`` for a kernel linear in each of its term
-    dicts ``operands`` (one or two).  When every coefficient of them is a
-    rational of one field, Q, Q(zeta_1) or Q(zeta_2), or every one is a
-    rational function of Q(q), the kernel runs on integer multiples D*t of
-    each operand t, D the lcm of its denominators (in Z[q] over Q(q)), and
-    each sum is divided by the product of the D's once.  Over Q(q) the
-    integer polynomials D*t run evaluated at q = 2^B
-    (:func:`~peakforge.scalars._kronecker`, whose docstring has the lemma),
-    with B above the l1 height of every operand and result: the same kernel
-    run on the operands' l1 norms, with each multiplier taken in absolute
-    value (:class:`_Height`), bounds it.  A sum cancels exactly where it
-    does in the field, and equal coefficients stay equal, so the keys and
-    their order are the same.  Q(zeta_r) for r >= 3 keeps the field
-    arithmetic: there the height run and the decoding cost more than the
-    closed-form products of degree 2."""
-    cleared = []
-    for terms in operands:
-        part = _cleared_terms(terms)
-        if part is None or (cleared and part[2] != cleared[0][2]):
-            return kernel(*operands, *args)
-        cleared.append(part)
-    parts = [t for t, _, _ in cleared]
-    make = cleared[0][2]
-    dens = [d for _, d, _ in cleared]
-    den = reduce(_int_mul, dens) if make is QQq else prod(dens)
-    if make is QQq:
-        norms = [{k: _Height(sum(map(abs, p))) for k, p in t.items()} for t in parts]
-        bound = kernel(*norms, *args)
-        height = max(itertools.chain(bound.values(), *(t.values() for t in norms)), default=0)
-        parts, make = _kronecker(parts, height)
-    out = kernel(*parts, *args)
-    return {k: make(s, den) for k, s in out.items()}
-
-
-class _Height(int):
-    """A nonnegative int whose products are taken in absolute value: run on
-    _Heights, a kernel sums |multiplier| * |coefficient| bounds, so a signed
-    multiplier (the ribbon tables carry -1) cannot cancel in the bound."""
-
-    __slots__ = ()
-
-    def __mul__(self, other):
-        return _Height(abs(int.__mul__(self, other)))
-
-    __rmul__ = __mul__
 
 
 def _compositions(u: dict, v: dict) -> dict:

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import fqsym, mr, oracle, peak, sym
 from .combinatorics import (
@@ -382,8 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser of main, built on first use and reused by every later call:
+# in-process callers, such as the benchmark's steps, call main many times
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         ok, payload, lines = args.fn(args)

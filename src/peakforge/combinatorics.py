@@ -19,7 +19,6 @@ Everything here is a pure function of immutable values.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from functools import cache
 from types import MappingProxyType
 
@@ -142,34 +141,6 @@ def left_right_minima(perm) -> tuple[frozenset, int]:
             mins.append(v)
             best = v
     return frozenset(mins), len(mins)
-
-
-def lex_min_permutation(comp: tuple[int, ...]):
-    """The lexicographically smallest permutation whose descent composition
-    is ``comp``.
-
-    >>> lex_min_permutation((2, 1))
-    (1, 3, 2)
-    """
-    n = sum(comp)
-    descents = set(descent_set(comp))
-    # run[i]: number of consecutive descents starting at position i
-    run = [0] * (n + 2)
-    for i in range(n - 1, 0, -1):
-        run[i] = run[i + 1] + 1 if i in descents else 0
-    avail = list(range(1, n + 1))
-    word = []
-    prev = None
-    for i in range(1, n + 1):
-        d = run[i]
-        if prev is None or (i - 1) in descents:
-            j = d
-        else:
-            j = max(d, bisect_right(avail, prev))
-        v = avail.pop(j)
-        word.append(v)
-        prev = v
-    return tuple(word)
 
 
 @cache
@@ -317,19 +288,17 @@ def standardized_shape(jc) -> tuple[int, ...]:
     """The unsigned composition attached to a level-2 colored composition:
     sign any permutation of the underlying shape blockwise, standardize the
     signed word, and take its descent composition.  Independent of the
-    chosen permutation; the lexicographically minimal one is used.
+    chosen permutation; the one signed here has blocks of consecutive
+    values, the highest block first and each block increasing.
 
     >>> standardized_shape(((2, 0), (1, 0), (1, 0), (3, 1), (1, 1), (2, 1), (4, 0), (1, 1), (2, 0), (2, 0)))
     (2, 1, 1, 3, 1, 6, 3, 2)
     """
-    shape = underlying_composition(jc)
-    perm = lex_min_permutation(shape)
     pairs = []
-    i = 0
+    top = sum(size for size, _ in jc)
     for size, color in jc:
-        for _ in range(size):
-            pairs.append((perm[i], color))
-            i += 1
+        top -= size
+        pairs.extend((top + i, color) for i in range(1, size + 1))
     return descent_composition(standardize_signed(tuple(pairs)))
 
 

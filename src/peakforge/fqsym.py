@@ -15,9 +15,9 @@ out of scope here.
 
 from __future__ import annotations
 
-from .algebra import Element, _compositions, _over_integers, by_coefficient, merge_bounds
+from .algebra import Element, _compositions, by_coefficient, merge_bounds
 from .combinatorics import inverse, inverse_inversion_masks, left_right_minima, permutations
-from .scalars import ring_of
+from .scalars import over_integers, ring_of
 
 G, F, M = "G", "F", "M"
 
@@ -166,7 +166,7 @@ def internal_product(f: FqsymElement, g: FqsymElement) -> FqsymElement:
     out: dict = {}
     for n, terms in _by_degree(a.terms).items():
         if n in right:
-            out.update(_over_integers(_compositions, (terms, right[n])))
+            out.update(over_integers(_compositions, (terms, right[n])))
     result = FqsymElement(a.ring, F, out, bound=merge_bounds(a.bound, b.bound))
     return convert(result, f.basis)
 

@@ -16,35 +16,14 @@ cancel leave stale pivots in the index, which a visit skips.
 :meth:`GradedSubspace.freeze` releases the index.
 
 Every elimination step is one ``target -= c * row``, and a span stores
-its entries in its own ring.  It picks its kernel for that step once, from
-the ring: over Q(zeta_r) of degree 1 or 2 (r = 1, 2, 3, 4, 6) it is
-:func:`~peakforge.scalars.cyclo_subtract_multiple`, which works on the
-integer vectors of the entries; over Q, Q(q) and the cyclotomic fields of
-degree 3 or more it is the generic :func:`_subtract_multiple`.
+its entries in its own ring.  It takes its kernel for that step once, from
+:func:`~peakforge.scalars.elimination_kernel` (the scalars module
+docstring says which fields run on integers).
 """
 
 from __future__ import annotations
 
-from .scalars import Cyclo, CyclotomicField, cyclo_subtract_multiple, scalar_str
-
-
-def _subtract_multiple(target: dict, c, row: dict):
-    """target -= c * row in place, dropping the entries that cancel."""
-    # -c only for the entries the target lacks, negated once, and only if
-    # there are any: most calls in rank scans find every entry present
-    neg = None
-    for j, rc in row.items():
-        newc = target.get(j)
-        if newc is None:
-            if neg is None:
-                neg = -c
-            newc = neg * rc
-        else:
-            newc = newc - c * rc
-        if newc:
-            target[j] = newc
-        else:
-            target.pop(j, None)
+from .scalars import Cyclo, elimination_kernel, scalar_str
 
 
 class GradedSubspace:
@@ -74,10 +53,7 @@ class GradedSubspace:
             self._index[k] = i
         self._rows: dict[int, dict] = {}
         self._holders: dict[int, set] | None = {}
-        if isinstance(ring, CyclotomicField) and ring.degree <= 2:
-            self._subtract = cyclo_subtract_multiple
-        else:
-            self._subtract = _subtract_multiple
+        self._subtract = elimination_kernel(ring)
         # entries of the ring's own type skip coercion in _indexed: a
         # Fraction over Q, a RatFunc over Q(q), a Cyclo of this very field
         self._native = type(ring.one)

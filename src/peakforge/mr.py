@@ -19,7 +19,7 @@ the left acts through the bar involution.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache, reduce
+from functools import cache, lru_cache
 from math import prod
 
 from . import algebra
@@ -31,7 +31,7 @@ from .combinatorics import (
     sorted_compositions,
     underlying_composition,
 )
-from .scalars import QQ, QQq, _int_mul, _ratfunc, ring_of
+from .scalars import QQ, QQq, ring_of
 from . import sym
 
 
@@ -275,16 +275,16 @@ def cleared_inverse_component(n: int):
     coefficient in c_n g_n is q^E times the factors (1 - q^(2i)) of c_n
     whose i is not a partial sum: an integer polynomial, built without
     division."""
-    factor = {i: (1,) + (0,) * (2 * i - 1) + (-1,) for i in range(1, n + 1)}
+    q = QQq.q
+    factor = {i: 1 - q ** (2 * i) for i in range(1, n + 1)}
     terms = {}
     for word in colored_compositions(n):
         e, sums = _inverse_exponents(word)
-        poly = (0,) * e + (1,)
+        c = q**e
         for i in set(factor).difference(sums):
-            poly = _int_mul(poly, factor[i])
-        terms[word] = _ratfunc(poly, (1,))
-    norm = reduce(_int_mul, factor.values(), (1,))
-    return _ratfunc(norm, (1,)), MrElement(QQq, S, terms)
+            c = c * factor[i]
+        terms[word] = c
+    return prod(factor.values(), start=QQq.one), MrElement(QQq, S, terms)
 
 
 def klyachko_element(n: int, mode: str = "closed_form") -> MrElement:

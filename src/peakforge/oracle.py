@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .algebra import Element, _compositions, _count_compositions, _over_integers
+from .algebra import Element, _compositions, _count_compositions
 from .combinatorics import (
     descent_set,
     format_composition,
@@ -22,7 +22,7 @@ from .combinatorics import (
     type_b_compositions,
 )
 from .linalg import GradedSubspace
-from .scalars import QQ
+from .scalars import QQ, over_integers
 from . import mr
 from . import sym
 
@@ -48,7 +48,7 @@ def group_product(f: GroupAlgebraElement, g: GroupAlgebraElement) -> GroupAlgebr
     if f.terms and g.terms and len({len(w) for w in chain(f.terms, g.terms)}) > 1:
         raise ValueError("degree mismatch in group product")
     a, b = f._aligned(g)
-    out = _over_integers(_compositions, (a.terms, b.terms))
+    out = over_integers(_compositions, (a.terms, b.terms))
     return GroupAlgebraElement(a.ring, f.group, out)
 
 

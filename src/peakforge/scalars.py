@@ -21,13 +21,23 @@ Integer polynomials are the one polynomial representation at run time.
 ``RatFunc`` constructor clears the denominators of its arguments), and in
 the ``num``/``den``/``coeffs`` views.
 
-The sparse kernels of :mod:`peakforge.algebra` skip the field arithmetic
-where they can: :func:`_cleared_terms` writes a dict of values as integer
-terms over one denominator, a positive integer for rationals of Q,
-Q(zeta_1) and Q(zeta_2) and the lcm of the denominators in Z[q] for
-rational functions, whose integer polynomials :func:`_kronecker` then
-evaluates at q = 2^B so that a kernel runs on ints (Kronecker
-substitution) and decodes its sums exactly.
+This module alone decides where the other modules skip the field
+arithmetic, and how their values are cleared and decoded:
+
+* :func:`over_integers` runs a sparse kernel of :mod:`peakforge.algebra`
+  (word substitution, products, internal products, compositions of
+  permutations) on integers.  Over Q, Q(zeta_1) and Q(zeta_2) each operand
+  is cleared to integers over a positive integer; over Q(q) to integer
+  polynomials over the lcm of its denominators in Z[q], which run
+  evaluated at q = 2^B (Kronecker substitution) and decode exactly.
+* :func:`elimination_kernel` gives :mod:`peakforge.linalg` its elimination
+  step ``target -= c * row``: over Q(zeta_r) of degree 1 or 2 (r = 1, 2,
+  3, 4, 6), :func:`cyclo_subtract_multiple`, which applies the
+  closed-form products to the integer vectors of the entries; over every
+  other field, :func:`subtract_multiple` in the field's arithmetic.
+
+Q(zeta_r) for r >= 3 stays off Kronecker substitution: there the height
+pass and the decoding cost more than the closed-form products of degree 2.
 
 Elements are immutable, hashable, support ``+ - * / **`` with ``int`` and
 ``Fraction`` coercion, and are always kept in canonical form, so ``==`` is
@@ -40,6 +50,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, partial
+from itertools import chain
 from math import gcd, lcm
 from operator import add, sub
 
@@ -52,6 +63,8 @@ __all__ = [
     "cyclotomic_field",
     "cyclotomic_polynomial",
     "specialize",
+    "over_integers",
+    "elimination_kernel",
     "SpecializationError",
     "ring_of",
     "common_ring",
@@ -103,89 +116,6 @@ def _int_cleared(coeffs):
     coeffs = _pstrip(tuple(Fraction(c) for c in coeffs))
     m = lcm(*(c.denominator for c in coeffs))
     return tuple(c.numerator * (m // c.denominator) for c in coeffs), m
-
-
-def _cleared_terms(terms: dict):
-    """Integer terms T, a denominator m and a field tag ``make`` with each
-    value of ``terms`` equal to T[k]/m, or None:
-
-    * all ints and Fractions: T[k] is an int, m a positive integer and
-      ``make`` is Fraction;
-    * all Cyclo values of one field of degree 1, Q(zeta_1) or Q(zeta_2):
-      T[k] is an int, m a positive integer and ``make`` is the field;
-    * all RatFunc values: T[k] is an integer polynomial, m the lcm of the
-      denominators in Z[q], with a positive leading coefficient, and
-      ``make`` is QQq (see :func:`_kronecker`).  Each denominator D divides
-      m in Z[q], a unique factorization domain, so T[k] = N*(m/D) is exact.
-
-    For the first two, terms = {k: make(T[k], m)}."""
-    first = next(iter(terms.values()), None)
-    if type(first) is RatFunc:
-        if any(type(c) is not RatFunc for c in terms.values()):
-            return None
-        dens = {c._den for c in terms.values()}
-        m = _Z1
-        for d in dens:
-            m = _int_mul(m, _int_divexact(d, _int_gcd(m, d)))
-        scale = {d: _int_divexact(m, d) for d in dens}
-        return {k: _int_mul(c._num, scale[c._den]) for k, c in terms.items()}, m, QQq
-    make = first.field if type(first) is Cyclo else Fraction
-    if make is Fraction:
-        if any(type(c) is not Fraction and type(c) is not int for c in terms.values()):
-            return None
-        parts = [(c.numerator, c.denominator) for c in terms.values()]
-    elif make.degree == 1 and all(type(c) is Cyclo and c.field is make for c in terms.values()):
-        parts = [(c.vec[0], c.den) for c in terms.values()]
-    else:
-        return None
-    m = lcm(*{d for _, d in parts})
-    return {k: n * (m // d) for k, (n, d) in zip(terms, parts)}, m, make
-
-
-def _kronecker(parts: list, height: int):
-    """Kronecker substitution q = 2^B for dicts of integer polynomials: the
-    dicts with each polynomial P replaced by the int P(2^B), and ``make``
-    with make(P(2^B), m) the canonical RatFunc P/m, for an integer
-    polynomial m with a positive leading coefficient.
-
-    ``height`` bounds the absolute value of every coefficient of the
-    polynomials to encode and to decode, and B = height.bit_length() + 1,
-    so that each lies below 2^(B-1).  Lemma (von zur Gathen and Gerhard,
-    *Modern Computer Algebra*, 8.4): a P in Z[q] with every |coefficient|
-    < 2^(B-1) is determined by P(2^B).  Its constant coefficient is the
-    residue of P(2^B) mod 2^B in [-2^(B-1), 2^(B-1)), and (P(2^B) - that)
-    / 2^B is the value of (P - P(0))/q; P(2^B) = 0 only for P = 0, since
-    the top term outweighs the sum of the others.  So the encoding is
-    injective, equal polynomials give equal ints, and an int sum is zero
-    exactly where the polynomial sum is."""
-    bits = height.bit_length() + 1
-    encoded = []
-    for terms in parts:
-        out = {}
-        for k, p in terms.items():
-            v = 0
-            for c in reversed(p):
-                v = (v << bits) + c
-            out[k] = v
-        encoded.append(out)
-    return encoded, partial(_from_kronecker, bits)
-
-
-def _from_kronecker(bits, value, m):
-    """The canonical RatFunc P/m for the P whose coefficients lie in
-    [-2^(bits-1), 2^(bits-1)) and P(2^bits) = value, and an integer
-    polynomial m with a positive leading coefficient: the balanced base
-    2^bits digits of value, over m, both divided by their gcd in Z[q]."""
-    half = 1 << (bits - 1)
-    mask = (1 << bits) - 1
-    coeffs = []
-    while value:
-        c = ((value + half) & mask) - half
-        coeffs.append(c)
-        value = (value - c) >> bits
-    if m == _Z1:
-        return _ratfunc(tuple(coeffs), _Z1)
-    return _ratfunc(*_int_cancel(tuple(coeffs), m))
 
 
 def _int_prem(a, b):
@@ -777,6 +707,140 @@ def _cyclo(field, vec, den):
     r.vec = vec
     r.den = den
     return r
+
+
+# --------------------------------------------------------------------------
+# Integer fast paths (see the module docstring)
+
+
+def over_integers(kernel, operands: tuple, *args) -> dict:
+    """``kernel(*operands, *args)``, run on integers where the field allows.
+
+    ``kernel`` is linear in each of its term dicts ``operands`` (one or
+    two), and the keys of its result, and their order, depend only on the
+    operands' keys, their order and which of their coefficients are equal.
+    When every coefficient is a rational of one field, Q, Q(zeta_1) or
+    Q(zeta_2), the kernel runs on the integers D*t of each operand t, D the
+    lcm of its denominators, and each sum is divided by the product of the
+    D's once.  When every one is a rational function of Q(q), D is the lcm
+    of the denominators in Z[q], a unique factorization domain, so each
+    denominator divides it and D*t is exact, and the integer polynomials
+    D*t run evaluated at q = 2^B.  B - 1 is the bit length of a height
+    above every |coefficient| of the operands and the results: the same
+    kernel run on the operands' l1 norms, with each multiplier taken in
+    absolute value (:class:`_Height`), bounds them.  Lemma (von zur Gathen
+    and Gerhard, *Modern Computer Algebra*, 8.4): a P in Z[q] with every
+    |coefficient| < 2^(B-1) is determined by P(2^B), and P(2^B) = 0 only
+    for P = 0 (:func:`_from_kronecker` decodes it).  Scaling by a nonzero D
+    and this injective evaluation keep the keys, their order and the equal
+    coefficients, and a sum cancels exactly where it does in the field, so
+    the result is the field's, key for key.  Any other operands run in
+    the field."""
+    first = next(iter(operands[0].values()), None)
+    kind = type(first)
+    field = first.field if kind is Cyclo else None
+    if field is not None and field.degree != 1:
+        return kernel(*operands, *args)
+    parts = []
+    den = _Z1 if kind is RatFunc else 1
+    for terms in operands:
+        values = terms.values()
+        if kind is RatFunc:
+            if any(type(c) is not RatFunc for c in values):
+                return kernel(*operands, *args)
+            dens = {c._den for c in values}
+            m = _Z1
+            for d in dens:
+                m = _int_mul(m, _int_divexact(d, _int_gcd(m, d)))
+            scale = {d: _int_divexact(m, d) for d in dens}
+            parts.append({k: _int_mul(c._num, scale[c._den]) for k, c in terms.items()})
+            den = _int_mul(den, m)
+            continue
+        if field is None:
+            if any(type(c) is not Fraction and type(c) is not int for c in values):
+                return kernel(*operands, *args)
+            pairs = [(c.numerator, c.denominator) for c in values]
+        elif all(type(c) is Cyclo and c.field is field for c in values):
+            pairs = [(c.vec[0], c.den) for c in values]
+        else:
+            return kernel(*operands, *args)
+        m = lcm(*{d for _, d in pairs})
+        parts.append({k: n * (m // d) for k, (n, d) in zip(terms, pairs)})
+        den *= m
+    make = field or Fraction
+    if kind is RatFunc:
+        norms = [{k: _Height(sum(map(abs, p))) for k, p in t.items()} for t in parts]
+        height = max(chain(kernel(*norms, *args).values(), *(t.values() for t in norms)), default=0)
+        bits = height.bit_length() + 1
+        for t in parts:
+            for k, p in t.items():
+                v = 0
+                for c in reversed(p):
+                    v = (v << bits) + c
+                t[k] = v
+        make = partial(_from_kronecker, bits)
+    return {k: make(s, den) for k, s in kernel(*parts, *args).items()}
+
+
+class _Height(int):
+    """A nonnegative int whose products are taken in absolute value: run on
+    _Heights, a kernel sums |multiplier| * |coefficient| bounds, so a signed
+    multiplier (the ribbon tables carry -1) cannot cancel in the bound."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        return _Height(abs(int.__mul__(self, other)))
+
+    __rmul__ = __mul__
+
+
+def _from_kronecker(bits, value, m):
+    """The canonical RatFunc P/m for the P whose coefficients lie in
+    [-2^(bits-1), 2^(bits-1)) and P(2^bits) = value, and an integer
+    polynomial m with a positive leading coefficient: the balanced base
+    2^bits digits of value, over m, both divided by their gcd in Z[q].
+    The constant coefficient of P is the residue of value mod 2^bits in
+    [-2^(bits-1), 2^(bits-1)), and (value - that) / 2^bits is the value of
+    (P - P(0))/q."""
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    coeffs = []
+    while value:
+        c = ((value + half) & mask) - half
+        coeffs.append(c)
+        value = (value - c) >> bits
+    if m == _Z1:
+        return _ratfunc(tuple(coeffs), _Z1)
+    return _ratfunc(*_int_cancel(tuple(coeffs), m))
+
+
+def elimination_kernel(ring):
+    """The elimination step ``target -= c * row`` for sparse vectors over
+    ``ring``: :func:`cyclo_subtract_multiple` over Q(zeta_r) of degree 1 or
+    2, :func:`subtract_multiple` over every other field."""
+    if isinstance(ring, CyclotomicField) and ring.degree <= 2:
+        return cyclo_subtract_multiple
+    return subtract_multiple
+
+
+def subtract_multiple(target: dict, c, row: dict):
+    """target -= c * row in place, dropping the entries that cancel."""
+    # -c only for the entries the target lacks, negated once, and only if
+    # there are any: most calls in rank scans find every entry present
+    neg = None
+    for j, rc in row.items():
+        newc = target.get(j)
+        if newc is None:
+            if neg is None:
+                neg = -c
+            newc = neg * rc
+        else:
+            newc = newc - c * rc
+        if newc:
+            target[j] = newc
+        else:
+            target.pop(j, None)
 
 
 def cyclo_subtract_multiple(target: dict, c: Cyclo, row: dict):

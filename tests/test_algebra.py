@@ -7,9 +7,9 @@ from operator import add
 
 import pytest
 
-from peakforge import algebra, mr, oracle, sym
+from peakforge import algebra, mr, oracle, scalars, sym
 from peakforge.combinatorics import colored_compositions, compositions
-from peakforge.scalars import QQ, Cyclo, QQq, RatFunc, _cleared_terms, cyclotomic_field
+from peakforge.scalars import QQ, Cyclo, QQq, RatFunc, cyclotomic_field
 from reference_permutations import delta
 
 # ---- margin matrices
@@ -371,12 +371,19 @@ def _random_qq(rng):
 
 
 def _check_over_integers(kernel, operands, *args):
-    """The kernel through _over_integers, on the Kronecker path, against
-    the same kernel in RatFunc arithmetic: keys, their order, the kept zero
-    keys and canonical RatFunc values."""
-    for terms in operands:
-        assert _cleared_terms(terms)[2] is QQq
-    got = algebra._over_integers(kernel, operands, *args)
+    """The kernel through scalars.over_integers, on the Kronecker path,
+    against the same kernel in RatFunc arithmetic: keys, their order, the
+    kept zero keys and canonical RatFunc values."""
+    calls = []
+
+    def spy(*call):
+        calls.append(call[: len(operands)])
+        return kernel(*call)
+
+    got = scalars.over_integers(spy, operands, *args)
+    # the height run on the l1 norms, then the run on the encoded ints
+    assert len(calls) == 2
+    assert all(type(c) is int for terms in calls[1] for c in terms.values())
     expected = kernel(*operands, *args)
     assert list(got.items()) == list(expected.items())
     for c, e in zip(got.values(), expected.values()):
@@ -385,7 +392,7 @@ def _check_over_integers(kernel, operands, *args):
 
 
 def _kernel_cases(u_sym, v_sym, u_mr, v_mr, u_perm, v_perm):
-    """(kernel, operands, args) for the four kernels behind _over_integers;
+    """(kernel, operands, args) for the four kernels behind over_integers;
     the sym operands are over compositions, the mr ones over colored
     compositions and the perm ones over permutations of one degree."""
     ribbons = partial(algebra._ribbon_table, add, True)
@@ -501,13 +508,26 @@ def test_kronecker_keeps_cancelled_keys_and_reduces_constant_denominators():
 def test_rational_functions_clear_to_the_lcm_of_their_denominators():
     q = QQq.q
     terms = {(1,): q, (2,): 1 / (1 - q), (3,): q / (1 - q**2)}
-    cleared, m, make = _cleared_terms(terms)
-    # the lcm is q^2 - 1, with a positive leading coefficient
-    assert make is QQq and m == (-1, 0, 1)
-    for k, c in terms.items():
-        assert RatFunc(cleared[k], m) == c
+    calls = []
+
+    def identity(t):
+        calls.append(t)
+        return dict(t)
+
+    assert scalars.over_integers(identity, (terms,)) == terms
+    # the height run on the l1 norms, then the run on T(2^B) for the
+    # cleared integer polynomials T = m * terms
+    norms, encoded = calls
+    bits = max(norms.values()).bit_length() + 1
+    cleared = {k: scalars._from_kronecker(bits, v, (1,)) for k, v in encoded.items()}
+    # the lcm m is q^2 - 1, with a positive leading coefficient
+    m = RatFunc((-1, 0, 1))
+    assert all(cleared[k] == c * m for k, c in terms.items())
     # a Fraction among RatFuncs is not cleared: the field path takes it
-    assert _cleared_terms({(1,): q, (2,): Fraction(1, 2)}) is None
+    calls.clear()
+    mixed = {(1,): q, (2,): Fraction(1, 2)}
+    assert scalars.over_integers(identity, (mixed,)) == mixed
+    assert calls == [mixed]
 
 
 def test_rational_times_cyclotomic_product():

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from peakforge import cli, mr
 from peakforge.cli import CAPS, main
 
 
@@ -30,6 +34,59 @@ def test_klyachko_table_output(capsys):
     assert code == 0
     assert "match: True" in out
     assert out.strip().endswith("ok")
+
+
+def test_klyachko_check_reports_a_mismatch(capsys, monkeypatch):
+    # the ribbon route with one coefficient perturbed: --check must fail
+    original = mr.klyachko_element
+
+    def perturbed(n, mode="closed_form"):
+        element = original(n, mode)
+        if mode == "ribbon_sum":
+            terms = dict(element.terms)
+            key = min(terms)
+            terms[key] = terms[key] + 1
+            element = mr.MrElement(element.ring, element.basis, terms)
+        return element
+
+    monkeypatch.setattr(mr, "klyachko_element", perturbed)
+    code, data = run_json(capsys, "klyachko", "--n", "2", "--check")
+    assert code == 1
+    assert data["ok"] is False and data["match"] is False
+    assert "ribbon_sum" in data and data["ribbon_sum"] != data["element"]
+    code, out = run_cli(capsys, "klyachko", "--n", "2", "--check")
+    assert code == 1
+    assert "match: False" in out
+    assert out.strip().endswith("FAILED")
+
+
+def _separate_run(argv):
+    """(exit status, stdout, stderr) of the command run in a fresh process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "peakforge.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_one_parser_serves_a_usage_error_and_a_valid_run(capsys):
+    # main builds its parser once per process; a usage error leaves it as it
+    # was, so the runs after it print what separate runs print
+    misuse = ["klyachko", "--n", "-1"]
+    valid = ["klyachko", "--n", "2", "--check", "--format", "json"]
+    with pytest.raises(SystemExit) as exc:
+        main(misuse)
+    assert exc.value.code == 2
+    error = capsys.readouterr()
+    code, out = run_cli(capsys, *valid)
+    assert code == 0
+    assert cli._parser() is cli._parser()
+    assert _separate_run(misuse) == (2, error.out, error.err)
+    assert _separate_run(valid) == (0, out, "")
 
 
 def test_bmaj_long_composition(capsys):

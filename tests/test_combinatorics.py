@@ -16,7 +16,6 @@ from peakforge.combinatorics import (
     format_colored_composition,
     inverse,
     left_right_minima,
-    lex_min_permutation,
     major_index,
     merged_shape,
     parse_colored_composition,
@@ -146,27 +145,6 @@ def _factorial(n):
     for k in range(2, n + 1):
         out *= k
     return out
-
-
-# ---- lexicographically minimal permutation of a shape
-
-
-def test_lex_min_permutation_long_shape():
-    shape = (2, 1, 1, 3, 1, 2, 4, 1, 2, 2)
-    alpha = lex_min_permutation(shape)
-    assert alpha == (1, 5, 4, 3, 2, 6, 9, 8, 7, 11, 10, 12, 13, 16, 15, 14, 18, 17, 19)
-    assert descent_composition(alpha) == shape
-
-
-def test_lex_min_permutation_is_minimal():
-    for n in range(1, 7):
-        best = {}
-        for p in permutations(n):
-            I = descent_composition(p)
-            if I not in best or p < best[I]:
-                best[I] = p
-        for I, p in best.items():
-            assert lex_min_permutation(I) == p
 
 
 # ---- rho, bmaj

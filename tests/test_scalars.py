@@ -1,6 +1,8 @@
+import ast
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,14 +14,15 @@ from peakforge.scalars import (
     Cyclo,
     RatFunc,
     SpecializationError,
+    _from_kronecker,
     _int_gcd,
-    _kronecker,
     _padd,
     _pneg,
     _pstrip,
     common_ring,
     cyclotomic_field,
     cyclotomic_polynomial,
+    over_integers,
     ring_of,
     scalar_str,
     specialize,
@@ -488,16 +491,22 @@ def test_kronecker_round_trip_below_the_height():
     # coefficients up to the height h = 2^k - 1 in absolute value decode
     # from P(2^B), B = k + 1; a bound one bit short (B = k) loses +-h
     rng = random.Random(22)
+
+    def at_power_of_two(p, bits):
+        return sum(c * 2 ** (bits * i) for i, c in enumerate(p))
+
     for k in (1, 5, 40):
         h = 2**k - 1
         polys = {i: tuple(rng.randint(-h, h) for _ in range(rng.randint(1, 6))) + (h,) for i in range(20)}
         polys[20] = (-h, 0, h, -h)
-        [encoded], make = _kronecker([polys], h)
-        for i, p in polys.items():
-            assert make(encoded[i], (1,))._num == p
+        for p in polys.values():
+            assert _from_kronecker(k + 1, at_power_of_two(p, k + 1), (1,))._num == p
         if k > 1:
-            [short], make = _kronecker([polys], h // 2)
-            assert make(short[20], (1,))._num != polys[20]
+            p = polys[20]
+            assert _from_kronecker(k, at_power_of_two(p, k), (1,))._num != p
+        # and through over_integers, whose height covers every l1 norm
+        values = {i: RatFunc(p) for i, p in polys.items()}
+        assert over_integers(dict, (values,)) == values
 
 
 def _canonical_cyclo(x):
@@ -615,3 +624,40 @@ def test_ring_of():
     assert ring_of(QQq.q) is QQq
     field = cyclotomic_field(4)
     assert ring_of(field.zeta) is field
+
+
+# --------------------------------------------------------------------------
+# The integer fast paths stay inside scalars
+
+
+def _private_scalars_names(source: str) -> list[str]:
+    """The _-prefixed names of peakforge.scalars that a module of the
+    package imports or reads, as written in ``source``."""
+    found = []
+    modules = {"peakforge.scalars"}  # dotted names bound to the module
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("scalars", "peakforge.scalars"):
+                found += [a.name for a in node.names if a.name.startswith("_")]
+            elif node.module in (None, "peakforge"):
+                modules.update(a.asname or a.name for a in node.names if a.name == "scalars")
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname for a in node.names if a.name == "peakforge.scalars" and a.asname)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            if ast.unparse(node.value) in modules:
+                found.append(node.attr)
+    return found
+
+
+def test_no_other_module_reads_private_names_of_scalars():
+    package = Path(__file__).resolve().parents[1] / "src" / "peakforge"
+    for path in sorted(package.glob("*.py")):
+        if path.name != "scalars.py":
+            assert _private_scalars_names(path.read_text()) == [], path.name
+    # the check sees each way of reaching a private name
+    assert _private_scalars_names("from .scalars import QQ, _int_mul") == ["_int_mul"]
+    assert _private_scalars_names("from . import scalars as s\ns._ratfunc(a, b)") == ["_ratfunc"]
+    assert _private_scalars_names("import peakforge.scalars\npeakforge.scalars._Z1") == ["_Z1"]
+    assert _private_scalars_names("from .scalars import over_integers\nx._y") == []
