@@ -2,10 +2,11 @@
 
 Every verification in the package is exposed as a subcommand with
 deterministic, machine-readable output.  Exit status 0 means every check
-requested by the invocation passed; mismatches exit 1 and carry a JSON
-diff.  Invalid input, including a degree above its subcommand's cap (exact
-arithmetic cost grows steeply with the degree), is a usage error: a one-line
-message and exit status 2.
+requested by the invocation passed; mismatches exit 1, and with
+``--format json`` or ``--out`` their report carries the diff.  Invalid
+input, including a degree above its subcommand's cap (exact arithmetic cost
+grows steeply with the degree), is a usage error: a one-line message and
+exit status 2.
 """
 
 from __future__ import annotations
@@ -307,12 +308,46 @@ def cmd_identities(args):
     return ok, {"ok": ok}, lines
 
 
+def _terminal_width() -> int:
+    """The columns of ``shutil.get_terminal_size()``, read with ``os``
+    alone: importing shutil imports compression modules no run uses."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns > 0:
+        return columns
+    try:
+        columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+    except (AttributeError, ValueError, OSError):
+        columns = 0
+    return columns or 80
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """The stock formatter, given the width it would read through shutil."""
+
+    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
+        if width is None:
+            width = _terminal_width() - 2
+        super().__init__(prog, indent_increment, max_help_position, width)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser formatting with :class:`_HelpFormatter`; its subparsers are
+    of this class too, since ``add_subparsers`` defaults to the parent's."""
+
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("formatter_class", _HelpFormatter)
+        super().__init__(*args, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="peakforge",
         description="Exact verification suite for peak algebras and their level-2 analogues",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=("table", "json"), default="table")
     common.add_argument(
         "--out", type=_report_path, metavar="FILE", help="also write the JSON report here"
@@ -401,7 +436,8 @@ def main(argv=None) -> int:
         "ok": ok,
     }
     envelope.update(payload)
-    text = json.dumps(envelope, indent=2, sort_keys=True)
+    if args.format == "json" or args.out:
+        text = json.dumps(envelope, indent=2, sort_keys=True)
     if args.format == "json":
         print(text)
     else:

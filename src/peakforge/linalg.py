@@ -23,7 +23,23 @@ docstring says which fields run on integers).
 
 from __future__ import annotations
 
+from functools import cache
+
 from .scalars import Cyclo, elimination_kernel, scalar_str
+
+
+@cache
+def _column_index(keys: tuple) -> dict:
+    """Ambient key -> its column, built once per key tuple and shared,
+    read-only, by every span over it: the spans of one degree share their
+    key tuple (:func:`~peakforge.combinatorics.sorted_compositions`), so
+    the cache holds one index per degree and alphabet."""
+    index = {}
+    for i, k in enumerate(keys):
+        if k in index:
+            raise ValueError(f"duplicate ambient key {k!r}")
+        index[k] = i
+    return index
 
 
 class GradedSubspace:
@@ -46,11 +62,7 @@ class GradedSubspace:
         self.ring = ring
         self.degree = degree
         self.keys = tuple(ambient_keys)
-        self._index = {}
-        for i, k in enumerate(self.keys):
-            if k in self._index:
-                raise ValueError(f"duplicate ambient key {k!r}")
-            self._index[k] = i
+        self._index = _column_index(self.keys)
         self._rows: dict[int, dict] = {}
         self._holders: dict[int, set] | None = {}
         self._subtract = elimination_kernel(ring)

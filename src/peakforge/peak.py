@@ -11,7 +11,6 @@ All ranks are computed exactly over Q(zeta_r); nothing here is numerical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .algebra import internal
@@ -323,15 +322,22 @@ def pm_one_identity_check(q_value: int, n_max: int):
 # Reports
 
 
-@dataclass
 class HilbertReport:
     """Computed vs predicted dimensions of one graded scan."""
 
-    algebra: str
-    r: int
-    dims: list[int]
-    predicted_source: str
-    predicted: list[int]
+    def __init__(
+        self,
+        algebra: str,
+        r: int,
+        dims: list[int],
+        predicted_source: str,
+        predicted: list[int],
+    ):
+        self.algebra = algebra
+        self.r = r
+        self.dims = dims
+        self.predicted_source = predicted_source
+        self.predicted = predicted
 
     @property
     def match(self) -> bool:

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -87,6 +89,83 @@ def test_one_parser_serves_a_usage_error_and_a_valid_run(capsys):
     assert cli._parser() is cli._parser()
     assert _separate_run(misuse) == (2, error.out, error.err)
     assert _separate_run(valid) == (0, out, "")
+
+
+# modules a run never uses: what dataclasses and shutil would import
+NOT_AT_START_UP = ("dataclasses", "inspect", "ast", "dis", "tokenize", "shutil", "bz2", "lzma")
+
+
+def test_start_up_imports_only_what_a_run_uses():
+    # a fresh interpreter without site hooks, as the bench starts the package
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import peakforge.cli; "
+        "peakforge.cli._parser(); print(*sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, src],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(done.stdout.split())
+    assert "peakforge.peak" in loaded
+    assert loaded.isdisjoint(NOT_AT_START_UP), sorted(loaded.intersection(NOT_AT_START_UP))
+
+
+@pytest.fixture(params=["60", "120", None, "0", "-5", "wide"])
+def columns(request, monkeypatch, tmp_path):
+    """COLUMNS as the parameter says (None: unset), and no terminal."""
+    if request.param is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", request.param)
+    with open(tmp_path / "stdout", "w") as handle:
+        monkeypatch.setattr(sys, "__stdout__", handle)
+        yield request.param
+
+
+def _help_outputs(capsys):
+    """Top-level help, hilbert's help and a usage error's stderr."""
+    parser = cli.build_parser()
+    outputs = [parser.format_help()]
+    for argv in (["hilbert", "--help"], ["klyachko", "--n", "-1"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+        captured = capsys.readouterr()
+        outputs.append(captured.out + captured.err)
+    return outputs
+
+
+def test_help_is_what_the_stock_formatter_prints(columns, capsys, monkeypatch):
+    ours = _help_outputs(capsys)
+    assert "usage: peakforge hilbert" in ours[1] and "error:" in ours[2]
+    monkeypatch.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
+    assert _help_outputs(capsys) == ours
+
+
+def test_help_width_is_the_terminal_width(columns):
+    assert cli.build_parser().formatter_class is cli._HelpFormatter
+    width = shutil.get_terminal_size().columns - 2
+    assert cli._HelpFormatter("peakforge")._width == width
+    assert width == (int(columns) if columns in ("60", "120") else 80) - 2
+
+
+def test_json_text_is_built_only_when_printed_or_written(capsys, monkeypatch, tmp_path):
+    argv = ["bmaj", "--composition", "2,-1"]
+    _, table = run_cli(capsys, *argv)
+    dumps, calls = json.dumps, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counted)
+    assert run_cli(capsys, *argv) == (0, table)
+    assert not calls
+    run_json(capsys, *argv)
+    run_cli(capsys, *argv, "--out", str(tmp_path / "report.json"))
+    assert len(calls) == 2
 
 
 def test_bmaj_long_composition(capsys):

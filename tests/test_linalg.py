@@ -128,6 +128,16 @@ def test_tracked_span_shows_only_ambient_keys():
     assert s.coordinates({"a": 1, "b": 2, "c": 2}) == {"u": 1, "v": 1}
 
 
+def test_spans_over_one_key_tuple_share_their_column_lookup():
+    keys = ("a", "b", "c")
+    first, second = GradedSubspace(QQ, keys), GradedSubspace(QQq, keys)
+    assert first._index is second._index == {"a": 0, "b": 1, "c": 2}
+    first.insert({"b": 1})
+    assert second.rank == 0 and first.pivot_keys() == ["b"]
+    with pytest.raises(ValueError, match="duplicate ambient key 'b'"):
+        GradedSubspace(QQ, ["a", "b", "b"])
+
+
 def test_contains_iff_insert_does_not_grow():
     rng = random.Random(7)
     keys = list(range(6))
