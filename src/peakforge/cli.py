@@ -144,17 +144,11 @@ def cmd_closure(args):
     ok_all = True
     for n in range(args.degree + 1):
         if args.algebra == "unital-peak":
-            ok, witness = peak.closure_check(
-                peak.unital_peak_subspace(n, args.r), "sym"
-            )
+            ok, witness = peak.closure_check(peak.unital_peak_subspace(n, args.r))
         elif args.algebra == "q-ring":
-            ok, witness = peak.closure_check(
-                peak.mr_sharp_module_subspace(n, args.r), "mr"
-            )
+            ok, witness = peak.closure_check(peak.mr_sharp_module_subspace(n, args.r))
         elif args.algebra == "q-module":
-            ok, witness = peak.closure_check(
-                peak.mr_sharp_subspace(n, args.r), "mr", ideal=True
-            )
+            ok, witness = peak.closure_check(peak.mr_sharp_subspace(n, args.r), ideal=True)
         else:  # bsym
             ok, witness = peak.bsym_closure_check(n)
         ok_all = ok_all and ok

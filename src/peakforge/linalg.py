@@ -107,10 +107,9 @@ class GradedSubspace:
             row = rows.get(i)
             if row is None:
                 continue
-            c = v.get(i)  # stored entries are never zero
-            if c is None:
-                continue
-            subtract(v, c, row)
+            # every stored row is zero at every other pivot, so no earlier
+            # subtraction has touched v[i], which is still nonzero
+            subtract(v, v[i], row)
         pivot = min(v, default=len(self.keys))
         return pivot if pivot < len(self.keys) else None
 

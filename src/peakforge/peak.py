@@ -12,6 +12,7 @@ All ranks are computed exactly over Q(zeta_r); nothing here is numerical.
 from __future__ import annotations
 
 from functools import cache
+from itertools import accumulate
 
 from .algebra import internal
 from .combinatorics import format_composition, sorted_compositions, type_b_compositions
@@ -48,58 +49,34 @@ def series_coefficients(numerator, denominator, n_max: int) -> list[int]:
     return out
 
 
-def _peak_denominator(r: int) -> list[int]:
-    return [1] + [-1] * r
-
-
-def _sharp_denominator(r: int) -> list[int]:
-    den = [1] + [-2] * r
-    if r % 2 == 0:
-        den[r // 2] += 1
-    return den
-
-
 def predicted_dimensions(algebra: str, r: int, n_max: int):
-    """(source label, list of predicted dimensions) for a dimension scan."""
-    if algebra == PEAK:
-        num = [1] + [0] * (r - 1) + [-1]
-        return (
-            f"(1-t^{r})/(1-t-...-t^{r})",
-            series_coefficients(num, _peak_denominator(r), n_max),
-        )
-    if algebra == UNITAL_PEAK:
-        return (
-            f"1/(1-t-...-t^{r})",
-            series_coefficients([1], _peak_denominator(r), n_max),
-        )
-    if algebra == MR_SHARP:
-        num = [1] + [0] * (r - 1) + [-1]
-        return (
-            f"(1-t^{r})/(1-2(t+...+t^{r}){'+t^' + str(r // 2) if r % 2 == 0 else ''})",
-            series_coefficients(num, _sharp_denominator(r), n_max),
-        )
-    if algebra == MR_SHARP_MODULE:
-        return (
-            f"1/(1-2(t+...+t^{r}){'+t^' + str(r // 2) if r % 2 == 0 else ''})",
-            series_coefficients([1], _sharp_denominator(r), n_max),
-        )
-    raise ValueError(f"unknown algebra {algebra!r}")
+    """(source label, list of predicted dimensions) for a dimension scan:
+    the series N/D with D = 1-t-...-t^r at level 1 and 1-2(t+...+t^r),
+    plus t^(r/2) for even r, at level 2; N = 1-t^r for the image spans and
+    1 for the unital ones."""
+    if algebra not in ALGEBRAS:
+        raise ValueError(f"unknown algebra {algebra!r}")
+    if algebra in (PEAK, UNITAL_PEAK):
+        den, den_label = [1] + [-1] * r, f"1-t-...-t^{r}"
+    else:
+        den, den_label = [1] + [-2] * r, f"1-2(t+...+t^{r})"
+        if r % 2 == 0:
+            den[r // 2] += 1
+            den_label += f"+t^{r // 2}"
+    if algebra in (PEAK, MR_SHARP):
+        num, num_label = [1] + [0] * (r - 1) + [-1], f"(1-t^{r})"
+    else:
+        num, num_label = [1], "1"
+    return f"{num_label}/({den_label})", series_coefficients(num, den, n_max)
 
 
 def sharp_module_candidates(r: int, n_max: int) -> dict:
     """All candidate dimension predictions for the level-2 right module:
     the direct series, the partial sums of the image series, and (at r = 2)
     the type-B descent algebra dimensions 2^n."""
-    out = {}
     label, values = predicted_dimensions(MR_SHARP_MODULE, r, n_max)
-    out[label] = values
     _, image = predicted_dimensions(MR_SHARP, r, n_max)
-    sums = []
-    total = 0
-    for v in image:
-        total += v
-        sums.append(total)
-    out[f"H_{r}(t)/(1-t)"] = sums
+    out = {label: values, f"H_{r}(t)/(1-t)": list(accumulate(image))}
     if r == 2:
         out["2^n"] = [2**n for n in range(n_max + 1)]
     return out
@@ -207,19 +184,21 @@ def subspace(algebra: str, n: int, r: int) -> GradedSubspace:
 # Closure checks
 
 
-def closure_check(sub: GradedSubspace, algebra: str, ideal: bool = False):
+def closure_check(sub: GradedSubspace, ideal: bool = False):
     """Check closure of an echelonized subspace under the degreewise
     internal product.
 
+    The ambient keys name the algebra: colored compositions are words of
+    the level-2 algebra MR, compositions words of Sym.  In degree 0 the one
+    key () is the unit of both, whose products agree, so Sym reads it.
     With ``ideal=False``: every product of two basis rows must stay inside.
     With ``ideal=True``: every product (full ambient basis) * (basis row)
     must stay inside (left ideal over the whole graded component).
     Returns (ok, witness) where the witness names the first failing pair,
     ``"<left key> * <right key>"``; a row is named by its pivot key.
     """
-    element = {"sym": sym.SymElement, "mr": mr.MrElement}.get(algebra)
-    if element is None:
-        raise ValueError(f"unknown algebra {algebra!r}")
+    colored = any(type(part) is tuple for part in sub.keys[-1])
+    element = mr.MrElement if colored else sym.SymElement
     rows = sub.basis()
     pivots = sub.pivot_keys()
     if ideal:
@@ -239,7 +218,7 @@ def bsym_closure_check(n: int):
     Lemma: if span(BSym) equals the r = 2 q-ring span V, BSym is closed
     exactly when V is.  So this checks that every type-B element lies in V
     (a witness names its type-B composition) and that the ranks agree (a
-    witness gives both), then returns ``closure_check(V, "mr")``."""
+    witness gives both), then returns ``closure_check(V)``."""
     target = mr_sharp_module_subspace(n, 2)
     for comp in sorted(type_b_compositions(n)):
         if not target.contains(mr.bsym_complete(comp).terms):
@@ -247,7 +226,7 @@ def bsym_closure_check(n: int):
     rank = oracle.bsym_span(n).rank
     if rank != target.rank:
         return False, f"type-B rank {rank} != q-ring rank {target.rank}"
-    return closure_check(target, "mr")
+    return closure_check(target)
 
 
 # --------------------------------------------------------------------------

@@ -106,16 +106,12 @@ def test_criterion_05_closures():
     t0 = time.time()
     for r in (2, 3):
         for n in range(7):
-            ok, witness = peak.closure_check(peak.unital_peak_subspace(n, r), "sym")
+            ok, witness = peak.closure_check(peak.unital_peak_subspace(n, r))
             assert ok, (r, n, witness)
         for n in range(5):
-            ok, witness = peak.closure_check(
-                peak.mr_sharp_module_subspace(n, r), "mr"
-            )
+            ok, witness = peak.closure_check(peak.mr_sharp_module_subspace(n, r))
             assert ok, (r, n, witness)
-            ok, witness = peak.closure_check(
-                peak.mr_sharp_subspace(n, r), "mr", ideal=True
-            )
+            ok, witness = peak.closure_check(peak.mr_sharp_subspace(n, r), ideal=True)
             assert ok, (r, n, witness)
     for n in range(5):
         ok, witness = peak.bsym_closure_check(n)

@@ -574,3 +574,28 @@ def test_elements_of_different_groups_stay_unequal():
             f.convert(basis)
         assert oracle.SYMMETRIC in str(exc.value) and oracle.HYPEROCTAHEDRAL in str(exc.value)
     assert sn.convert(oracle.SYMMETRIC) is sn
+
+
+def test_word_element_times_a_scalar_scales_it():
+    f = sym.SymElement(QQ, sym.S, {(1, 2): Fraction(1, 2), (3,): Fraction(-1)})
+    assert (f * 3).terms == {(1, 2): Fraction(3, 2), (3,): Fraction(-3)}
+    assert f * Fraction(2, 3) == f.scaled(Fraction(2, 3))
+    assert (f * 0).terms == {}
+    field = cyclotomic_field(3)
+    g = mr.MrElement(field, mr.S, {((1, 1),): field.one})
+    assert (g * field.zeta).terms == {((1, 1),): field.zeta}
+
+
+def test_element_repr_of_zero_and_of_many_terms():
+    assert repr(sym.SymElement.zero(QQ, sym.S)) == "SymElement<S>(0)"
+    assert repr(mr.MrElement.zero(QQ, mr.R)) == "MrElement<R>(0)"
+    # eight terms in key order, then the count
+    keys = sorted(compositions(4)) + [(5,)]
+    f = sym.SymElement(QQ, sym.S, {I: Fraction(i + 1, 2) for i, I in enumerate(keys)})
+    assert repr(f) == (
+        "SymElement((1/2)*S[1,1,1,1] + (1)*S[1,1,2] + (3/2)*S[1,2,1] + (2)*S[1,3]"
+        " + (5/2)*S[2,1,1] + (3)*S[2,2] + (7/2)*S[3,1] + (4)*S[4] ... (9 terms))"
+    )
+    eight = sym.SymElement(QQ, sym.S, {I: 1 for I in keys[:8]})
+    assert "..." not in repr(eight) and repr(eight).count("*S[") == 8
+    assert repr(mr.MrElement(QQ, mr.S, {((1, 1), (2, 0)): QQ(-1)})) == "MrElement((-1)*S[-1,2])"

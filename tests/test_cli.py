@@ -343,6 +343,7 @@ def test_invalid_flags_rejected(capsys):
         ["hilbert", "--algebra", "peak", "--r", "0", "--max-degree", "3"],
         ["hilbert", "--algebra", "peak", "--r", "-2", "--max-degree", "3"],
         ["bmaj", "--composition", "1,x"],
+        ["bmaj", "--composition", "1~5"],
         ["hilbert", "--algebra", "peak", "--r", "2", "--max-degree", "-1"],
         ["klyachko", "--n", "-1"],
         ["hilbert", "--algebra", "peak", "--r", "2", "--max-degree", "9"],
@@ -354,8 +355,8 @@ def test_invalid_flags_rejected(capsys):
         ],
     ],
     ids=[
-        "r-zero", "r-negative", "bad-composition", "negative-degree", "negative-n", "cap",
-        "bsym-r", "out-directory", "out-missing-directory",
+        "r-zero", "r-negative", "bad-composition", "color-out-of-level", "negative-degree",
+        "negative-n", "cap", "bsym-r", "out-directory", "out-missing-directory",
     ],
 )
 def test_misuse_is_a_usage_error(argv, capsys):

@@ -545,3 +545,16 @@ def test_ordinal_expansion_assembles_klyachko():
         for I in compositions(n):
             total = total + (q ** (2 * major_index(I))) * ordinal_ribbon_expansion(I, q)
         assert total == mr.klyachko_element(n, "ribbon_sum")
+
+
+def test_superization_at_zero_is_the_identity():
+    # at q = 0 every letter is itself, with coefficient 1 and no zero entry
+    for k in range(1, 7):
+        for color in (0, 1):
+            assert mr._sharp_letter(0, (k, color)) == ((((k, color),), 1),)
+    rng = random.Random(27)
+    words = [J for n in range(4) for J in colored_compositions(n)]
+    f = mr.MrElement(
+        QQ, mr.S, {J: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for J in words}
+    )
+    assert mr.superization(f, 0) == f

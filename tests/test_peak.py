@@ -78,14 +78,14 @@ def test_transform_image_is_stable_under_retransform():
 def test_peak_space_is_left_ideal():
     for r in (2, 3):
         for n in range(5):
-            ok, witness = peak.closure_check(peak.peak_subspace(n, r), "sym", ideal=True)
+            ok, witness = peak.closure_check(peak.peak_subspace(n, r), ideal=True)
             assert ok, (r, n, witness)
 
 
 def test_unital_peak_closure_small():
     for r in (2, 3):
         for n in range(5):
-            ok, witness = peak.closure_check(peak.unital_peak_subspace(n, r), "sym")
+            ok, witness = peak.closure_check(peak.unital_peak_subspace(n, r))
             assert ok, (r, n, witness)
 
 
@@ -106,7 +106,7 @@ def test_closure_negative_control():
     ring = QQ
     space = GradedSubspace(ring, sorted(compositions(3)), degree=3)
     space.insert({(1, 2): Fraction(1), (3,): Fraction(1)})
-    ok, witness = peak.closure_check(space, "sym")
+    ok, witness = peak.closure_check(space)
     assert not ok
     assert witness is not None
 
@@ -122,15 +122,15 @@ def test_closure_witness_names_the_keys():
     # one row short of a closed span, the first product that leaves it is
     # named by key strings, with bars as minus signs at level 2
     sub = _without_first_row(peak.unital_peak_subspace(3, 3))
-    assert peak.closure_check(sub, "sym") == (False, "1,2 * 1,2")
+    assert peak.closure_check(sub) == (False, "1,2 * 1,2")
     sub = _without_first_row(peak.mr_sharp_module_subspace(2, 3))
-    assert peak.closure_check(sub, "mr") == (False, "1,-1 * 1,-1")
+    assert peak.closure_check(sub) == (False, "1,-1 * 1,-1")
     # over Q(zeta_2), whose products run on integers
     sub = _without_first_row(peak.mr_sharp_module_subspace(3, 2))
-    assert peak.closure_check(sub, "mr") == (False, "1,-1,1 * 1,-1,1")
-    assert peak.closure_check(peak.mr_sharp_subspace(3, 2), "mr", ideal=True) == (True, None)
+    assert peak.closure_check(sub) == (False, "1,-1,1 * 1,-1,1")
+    assert peak.closure_check(peak.mr_sharp_subspace(3, 2), ideal=True) == (True, None)
     sub = _without_first_row(peak.mr_sharp_subspace(3, 2))
-    assert peak.closure_check(sub, "mr", ideal=True) == (False, "1,1,1 * 1,-1,1")
+    assert peak.closure_check(sub, ideal=True) == (False, "1,1,1 * 1,-1,1")
 
 
 def test_bsym_is_the_q_ring_at_r2():
@@ -174,7 +174,7 @@ def test_bsym_closure_failure_is_the_q_ring_witness(monkeypatch):
     # same pair of pivot keys
     monkeypatch.setattr(peak, "internal", lambda *args: _OUTSIDE)
     witness = (False, "1,1 * 1,1")
-    assert peak.closure_check(peak.mr_sharp_module_subspace(2, 2), "mr") == witness
+    assert peak.closure_check(peak.mr_sharp_module_subspace(2, 2)) == witness
     assert peak.bsym_closure_check(2) == witness
 
 
@@ -304,13 +304,9 @@ def test_order_five_scan():
 def test_mr_closure_small():
     for r in (2, 3):
         for n in range(4):
-            ok, witness = peak.closure_check(
-                peak.mr_sharp_module_subspace(n, r), "mr"
-            )
+            ok, witness = peak.closure_check(peak.mr_sharp_module_subspace(n, r))
             assert ok, (r, n, witness)
-            ok, witness = peak.closure_check(
-                peak.mr_sharp_subspace(n, r), "mr", ideal=True
-            )
+            ok, witness = peak.closure_check(peak.mr_sharp_subspace(n, r), ideal=True)
             assert ok, (r, n, witness)
 
 

@@ -661,3 +661,82 @@ def test_no_other_module_reads_private_names_of_scalars():
     assert _private_scalars_names("from . import scalars as s\ns._ratfunc(a, b)") == ["_ratfunc"]
     assert _private_scalars_names("import peakforge.scalars\npeakforge.scalars._Z1") == ["_Z1"]
     assert _private_scalars_names("from .scalars import over_integers\nx._y") == []
+
+
+def test_negative_powers_of_a_cyclo_are_powers_of_its_inverse():
+    field = cyclotomic_field(5)
+    z = field.zeta
+    assert z**-1 == z**4 and z**-7 == z**3
+    a = 2 + z - 3 * z**2
+    assert a**-2 == a.inverse() * a.inverse()
+    assert a**-3 * a**3 == field.one
+    assert a**0 == field.one
+
+
+def _triple_by_first_part(terms):
+    """A kernel linear in its one operand, whose keys depend only on the
+    operand's keys."""
+    out = {}
+    for key, c in terms.items():
+        out[key[:1]] = out.get(key[:1], 0) + 3 * c
+    return out
+
+
+def test_mixed_operands_run_the_kernel_in_the_field():
+    # a Q operand holding a Cyclo, and Cyclos of Q(zeta_1) and Q(zeta_2) in
+    # one operand, are not cleared: the kernel runs once, on the operands
+    zeta3 = cyclotomic_field(3).zeta
+    one1, one2 = cyclotomic_field(1).one, cyclotomic_field(2).one
+    cases = (
+        {(1, 1): Fraction(1, 2), (1, 2): zeta3, (2,): Fraction(-2, 3)},
+        {(1,): 5 * one1, (2,): Fraction(1, 3) * one2},
+    )
+    for terms in cases:
+        calls = []
+
+        def spy(t):
+            calls.append(t)
+            return _triple_by_first_part(t)
+
+        got = over_integers(spy, (terms,))
+        assert calls == [terms]
+        expected = _triple_by_first_part(terms)
+        assert list(got.items()) == list(expected.items())
+        assert [type(c) for c in got.values()] == [type(c) for c in expected.values()]
+        assert [getattr(c, "field", None) for c in got.values()] == [
+            getattr(c, "field", None) for c in expected.values()
+        ]
+    # the second case keeps each value in its own field
+    assert [c.field.order for c in got.values()] == [1, 2]
+
+
+def test_rational_function_strings_of_zero_and_minus_q():
+    assert str(QQq.zero) == "0" and str(RatFunc()) == "0"
+    assert str(-QQq.q) == "-q" and str(-(QQq.q**3)) == "-q^3"
+    assert str(1 - QQq.q) == "1-q"
+    assert str(QQq.one / (1 - QQq.q)) == "(-1)/(-1+q)"
+
+
+def test_specialize_a_rational_and_refuse_a_non_scalar():
+    field = cyclotomic_field(5)
+    got = specialize(Fraction(-3, 4), 5)
+    assert type(got) is Cyclo and got.field is field and got == field(Fraction(-3, 4))
+    got = specialize(7, 1)
+    assert type(got) is Cyclo and got.field is cyclotomic_field(1) and got == 7
+    for bad in ("q", None, 1.5):
+        with pytest.raises(TypeError, match="cannot specialize"):
+            specialize(bad, 5)
+
+
+def test_zero_divisions_and_orders_raise():
+    with pytest.raises(ZeroDivisionError, match="zero denominator"):
+        RatFunc((1,), ())
+    with pytest.raises(ZeroDivisionError, match="zero denominator"):
+        RatFunc((1, 1), (0, 0))
+    with pytest.raises(ZeroDivisionError, match="division by zero rational function"):
+        QQq.q / QQq.zero
+    with pytest.raises(ZeroDivisionError, match="division by zero rational function"):
+        1 / RatFunc()
+    for r in (0, -3):
+        with pytest.raises(ValueError, match="order must be positive"):
+            cyclotomic_polynomial(r)

@@ -371,3 +371,15 @@ def test_element_json_schema():
         "basis": "S",
         "terms": [{"key": [2, 1], "coeff": "1-2*q"}],
     }
+
+
+def test_one_minus_q_transform_at_zero_is_the_identity():
+    # at q = 0 every letter is itself, with coefficient 1 and no zero entry
+    for k in range(1, 7):
+        assert sym._one_minus_q_letter(0, k) == (((k,), 1),)
+    rng = random.Random(27)
+    words = [I for n in range(5) for I in compositions(n)]
+    f = sym.SymElement(
+        QQ, sym.S, {I: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for I in words}
+    )
+    assert sym.one_minus_q_transform(f, 0) == f
