@@ -21,6 +21,7 @@ from functools import cache, partial
 from math import inf
 from operator import itemgetter
 
+from .combinatorics import format_composition
 from .scalars import common_ring, over_integers, ring_of, scalar_str
 
 
@@ -160,8 +161,6 @@ class Element:
     def scaled(self, coeff):
         ring = common_ring(self.ring, ring_of(coeff))
         c = ring(coeff)
-        if not c:
-            return type(self)(ring, self.basis, {}, bound=self.bound)
         return type(self)(
             ring,
             self.basis,
@@ -176,7 +175,7 @@ class Element:
 
     @staticmethod
     def key_str(key) -> str:
-        return ",".join(str(x) for x in key) if key else "()"
+        return format_composition(key) or "()"
 
     @staticmethod
     def key_json(key):

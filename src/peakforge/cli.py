@@ -70,9 +70,10 @@ def _at_least(minimum: int):
 
 
 def _report_path(text):
-    """An argparse type: a file path in an existing, writable directory."""
+    """An argparse type: a nonempty file path in an existing, writable directory."""
     folder = os.path.dirname(text) or "."
-    if os.path.isdir(text) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+    writable = os.path.isdir(folder) and os.access(folder, os.W_OK)
+    if not text or os.path.isdir(text) or not writable:
         raise argparse.ArgumentTypeError(f"cannot write a report to {text!r}")
     return text
 
@@ -348,15 +349,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "hilbert", parents=[common], help="dimension scan of a graded subspace"
-    )
+    def command(name, fn, summary):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("hilbert", cmd_hilbert, "dimension scan of a graded subspace")
     p.add_argument("--algebra", required=True, choices=peak.ALGEBRAS)
     p.add_argument("--r", type=_at_least(1), required=True)
     p.add_argument("--max-degree", type=_at_least(0), required=True)
-    p.set_defaults(fn=cmd_hilbert)
 
-    p = sub.add_parser("closure", parents=[common], help="internal-product closure checks")
+    p = command("closure", cmd_closure, "internal-product closure checks")
     p.add_argument(
         "--algebra",
         required=True,
@@ -364,50 +367,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--r", type=_at_least(1), default=2)
     p.add_argument("--degree", type=_at_least(0), required=True)
-    p.set_defaults(fn=cmd_closure)
 
-    p = sub.add_parser("klyachko", parents=[common], help="type-B q-Klyachko element")
+    p = command("klyachko", cmd_klyachko, "type-B q-Klyachko element")
     p.add_argument("--n", type=_at_least(0), required=True)
     p.add_argument("--check", action="store_true")
-    p.set_defaults(fn=cmd_klyachko)
 
-    p = sub.add_parser(
-        "bmaj", parents=[common], help="flag major index of a colored composition"
-    )
+    p = command("bmaj", cmd_bmaj, "flag major index of a colored composition")
     p.add_argument("--composition", required=True)
     p.add_argument("--colors", type=_at_least(1), default=2)
-    p.set_defaults(fn=cmd_bmaj)
 
-    p = sub.add_parser("monomial", parents=[common], help="monomial expansion identities")
+    p = command("monomial", cmd_monomial, "monomial expansion identities")
     p.add_argument("--n", type=_at_least(1), required=True)
-    p.set_defaults(fn=cmd_monomial)
 
-    p = sub.add_parser(
-        "oracle", parents=[common], help="group-algebra anti-isomorphism checks"
-    )
+    p = command("oracle", cmd_oracle, "group-algebra anti-isomorphism checks")
     p.add_argument("--group", required=True, choices=("Sn", "Bn"))
     p.add_argument("--n", type=_at_least(1), required=True)
-    p.set_defaults(fn=cmd_oracle)
 
-    p = sub.add_parser(
-        "invert-sharp", parents=[common], help="inverse of the generic superization"
-    )
+    p = command("invert-sharp", cmd_invert_sharp, "inverse of the generic superization")
     p.add_argument("--max-degree", type=_at_least(0), required=True)
-    p.set_defaults(fn=cmd_invert_sharp)
 
-    p = sub.add_parser(
-        "generators", parents=[common], help="generator normalization check"
-    )
+    p = command("generators", cmd_generators, "generator normalization check")
     p.add_argument("--r", type=_at_least(1), default=None)
     p.add_argument("--max-degree", type=_at_least(1), required=True)
-    p.set_defaults(fn=cmd_generators)
 
-    p = sub.add_parser(
-        "identities", parents=[common], help="q = +1 / -1 series identities"
-    )
+    p = command("identities", cmd_identities, "q = +1 / -1 series identities")
     p.add_argument("--q", type=int, required=True, choices=(1, -1))
     p.add_argument("--max-degree", type=_at_least(0), required=True)
-    p.set_defaults(fn=cmd_identities)
 
     return parser
 

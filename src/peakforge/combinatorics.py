@@ -54,24 +54,6 @@ def descent_set(comp: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def composition_from_descents(descents, n: int) -> tuple[int, ...]:
-    """The composition of n with the given descent set.
-
-    >>> composition_from_descents({3, 5, 7}, 8)
-    (3, 2, 2, 1)
-    """
-    if n == 0:
-        return ()
-    cuts = sorted(descents)
-    parts = []
-    prev = 0
-    for c in cuts:
-        parts.append(c - prev)
-        prev = c
-    parts.append(n - prev)
-    return tuple(parts)
-
-
 def major_index(comp: tuple[int, ...]) -> int:
     """Sum of the descent positions of a composition.
 
@@ -98,8 +80,8 @@ def inverse(perm):
 
 
 def descent_composition(perm) -> tuple[int, ...]:
-    """The composition of n recording the descent set of a permutation,
-    read off in one scan.
+    """The composition of n recording the descent set of a word of
+    distinct values, such as a permutation, read off in one scan.
 
     >>> descent_composition((4, 6, 7, 3, 5, 1, 8, 2))
     (3, 2, 2, 1)
@@ -187,21 +169,21 @@ def signed_permutations(n: int):
             yield tuple(s * v for s, v in zip(signs, p))
 
 
-def signed_descent_set(w) -> tuple[int, ...]:
-    """Descents of a signed permutation, with w(0) = 0 prepended; a subset
-    of 0..n-1."""
-    vals = (0,) + tuple(w)
-    return tuple(i for i in range(len(w)) if vals[i] > vals[i + 1])
-
-
 def signed_descent_composition(w) -> tuple[int, ...]:
-    """The type-B composition of a signed permutation: successive gaps of
-    its descent set, with a leading zero part exactly when 0 is a descent.
+    """The type-B composition of a signed permutation: the descent
+    composition of the word 0w with one taken off its first part, so the
+    first part is 0 exactly when 0 is a descent; () for the empty word.
+
+    Lemma: position i is a descent of w, with w(0) = 0, exactly when i + 1
+    is a descent of 0w, so the two descent sets differ by a shift of one.
 
     >>> signed_descent_composition((-2, 3, 1, -5, 4, 6))
     (0, 2, 1, 3)
     """
-    return composition_from_descents(signed_descent_set(w), len(w))
+    if not w:
+        return ()
+    first, *rest = descent_composition((0, *w))
+    return (first - 1, *rest)
 
 
 def type_b_compositions(n: int):
@@ -229,14 +211,14 @@ def signed_permutations_by_descent(n: int) -> MappingProxyType:
 # Colored compositions
 
 
-def colored_compositions(n: int, colors: int = 2):
-    """All colored compositions of n at a given level.
+def colored_compositions(n: int):
+    """All 2-colored compositions of n.
 
     >>> list(colored_compositions(2))
     [((1, 0), (1, 0)), ((1, 0), (1, 1)), ((1, 1), (1, 0)), ((1, 1), (1, 1)), ((2, 0),), ((2, 1),)]
     """
     for comp in compositions(n):
-        for painting in itertools.product(range(colors), repeat=len(comp)):
+        for painting in itertools.product((0, 1), repeat=len(comp)):
             yield tuple(zip(comp, painting))
 
 

@@ -28,6 +28,7 @@ from .combinatorics import (
     colored_compositions,
     colored_weight,
     flag_major_index,
+    format_colored_composition,
     sorted_compositions,
     underlying_composition,
 )
@@ -80,9 +81,7 @@ class MrElement(WordElement):
 
     @staticmethod
     def key_str(key):
-        if not key:
-            return "()"
-        return ",".join(str(s) if c == 0 else f"-{s}" for s, c in key)
+        return format_colored_composition(key) or "()"
 
     @staticmethod
     def key_json(key):
@@ -133,10 +132,10 @@ def internal_product(f: MrElement, g: MrElement) -> MrElement:
 # Series
 
 
-def sigma_series(ring, n_max: int, color: int = 0) -> MrElement:
-    """1 + S_1 + S_2 + ... on the chosen alphabet, truncated."""
+def sigma_series(ring, n_max: int) -> MrElement:
+    """1 + S_1 + S_2 + ... on the plain alphabet, truncated."""
     terms = {(): ring(1)}
-    terms.update((((n, color),), ring(1)) for n in range(1, n_max + 1))
+    terms.update((((n, 0),), ring(1)) for n in range(1, n_max + 1))
     return MrElement(ring, S, terms, bound=n_max)
 
 

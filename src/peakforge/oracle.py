@@ -52,19 +52,19 @@ def group_product(f: GroupAlgebraElement, g: GroupAlgebraElement) -> GroupAlgebr
     return GroupAlgebraElement(a.ring, f.group, out)
 
 
-def descent_class_sn(n: int, comp, ring=QQ) -> GroupAlgebraElement:
-    """Sum of the permutations of 1..n with descent composition ``comp``."""
-    terms = {p: ring(1) for p in permutations_by_descent(n).get(tuple(comp), ())}
-    return GroupAlgebraElement(ring, SYMMETRIC, terms)
+def descent_class_sn(n: int, comp) -> GroupAlgebraElement:
+    """Sum over Q of the permutations of 1..n with descent composition ``comp``."""
+    terms = dict.fromkeys(permutations_by_descent(n).get(tuple(comp), ()), QQ.one)
+    return GroupAlgebraElement(QQ, SYMMETRIC, terms)
 
 
-def descent_class_bn(n: int, comp, ring=QQ) -> GroupAlgebraElement:
+def descent_class_bn(n: int, comp) -> GroupAlgebraElement:
     """Sum of the signed permutations whose descent set is CONTAINED IN the
     descent set of the type-B composition ``comp`` (the class matching the
-    type-B complete basis): the union of the exact classes below it."""
+    type-B complete basis), over Q: the union of the exact classes below it."""
     table = signed_permutations_by_descent(n)
     words = chain.from_iterable(table[A] for A in _below(table, comp))
-    return GroupAlgebraElement(ring, HYPEROCTAHEDRAL, dict.fromkeys(words, ring(1)))
+    return GroupAlgebraElement(QQ, HYPEROCTAHEDRAL, dict.fromkeys(words, QQ.one))
 
 
 def _below(table, comp) -> list:

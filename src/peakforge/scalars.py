@@ -214,7 +214,7 @@ def _int_cancel(a, b):
     return _int_divexact(a, g), _int_divexact(b, g)
 
 
-def _poly_str(coeffs, var="q"):
+def _poly_str(coeffs):
     if not coeffs:
         return "0"
     parts = []
@@ -224,7 +224,7 @@ def _poly_str(coeffs, var="q"):
         if k == 0:
             body = str(c)
         else:
-            power = var if k == 1 else f"{var}^{k}"
+            power = "q" if k == 1 else f"q^{k}"
             if c == 1:
                 body = power
             elif c == -1:

@@ -30,6 +30,7 @@ from .algebra import (
     word_product,
 )
 from .combinatorics import compositions, permutations_by_descent, sorted_compositions
+from .fqsym import FqsymElement
 from .scalars import ring_of
 
 L = "L"
@@ -193,8 +194,6 @@ def power_sum(n: int, ring) -> SymElement:
 def to_fqsym(f: SymElement):
     """Embedding into free quasi-symmetric functions: a ribbon is the sum
     of G_sigma over permutations with that descent composition."""
-    from .fqsym import FqsymElement
-
     a = convert(f, R)
     out: dict = {}
     for I, c in a.terms.items():

@@ -1,9 +1,11 @@
 """Permutation references that only the tests use: composition of
-(signed) permutations, hook sizes, the right weak order by inversion masks
-and by its covers, and the group-algebra element of one word.  The library
-reads the same facts from its cached tables (``permutations_by_descent``,
-``inverse_inversion_masks``) and from the exact descent classes of
-``oracle``; the tests check those against these definitions."""
+(signed) permutations, descent sets and the composition they cut, hook
+sizes, the right weak order by inversion masks and by its covers, and the
+group-algebra element of one word.  The library reads the same facts from
+one-scan descent compositions, its cached tables
+(``permutations_by_descent``, ``inverse_inversion_masks``) and from the
+exact descent classes of ``oracle``; the tests check those against these
+definitions."""
 
 from functools import cache
 
@@ -28,6 +30,35 @@ def compose_signed(u, v):
 
 def descent_positions(perm) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(len(perm) - 1) if perm[i] > perm[i + 1])
+
+
+def signed_descent_set(w) -> tuple[int, ...]:
+    """Descents of a signed permutation, with w(0) = 0 prepended; a subset
+    of 0..n-1.
+
+    >>> signed_descent_set((-2, 3, 1, -5, 4, 6))
+    (0, 2, 3)
+    """
+    vals = (0,) + tuple(w)
+    return tuple(i for i in range(len(w)) if vals[i] > vals[i + 1])
+
+
+def composition_from_descents(descents, n: int) -> tuple[int, ...]:
+    """The (type-B) composition of n whose descent set is ``descents``: the
+    successive gaps, with a leading zero part exactly when 0 is a descent.
+
+    >>> composition_from_descents({3, 5, 7}, 8), composition_from_descents({0, 2}, 3)
+    ((3, 2, 2, 1), (0, 2, 1))
+    """
+    if n == 0:
+        return ()
+    parts = []
+    prev = 0
+    for c in sorted(descents):
+        parts.append(c - prev)
+        prev = c
+    parts.append(n - prev)
+    return tuple(parts)
 
 
 def hook_size(perm):

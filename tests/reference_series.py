@@ -47,7 +47,7 @@ def superization_series(q, n_max: int) -> mr.MrElement:
     ring = ring_of(q)
     return mr.product(
         mr_lambda_series(ring, n_max, t=-ring(q), color=1),
-        mr.sigma_series(ring, n_max, color=0),
+        mr.sigma_series(ring, n_max),
     )
 
 
@@ -55,7 +55,7 @@ def flat_series(n_max: int, ring=QQ) -> mr.MrElement:
     """lambda times sigma-bar, the bar image of the superization series at
     q = -1."""
     return mr.product(
-        mr_lambda_series(ring, n_max, color=0), mr.sigma_series(ring, n_max, color=1)
+        mr_lambda_series(ring, n_max, color=0), mr.bar(mr.sigma_series(ring, n_max))
     )
 
 

@@ -599,3 +599,18 @@ def test_element_repr_of_zero_and_of_many_terms():
     eight = sym.SymElement(QQ, sym.S, {I: 1 for I in keys[:8]})
     assert "..." not in repr(eight) and repr(eight).count("*S[") == 8
     assert repr(mr.MrElement(QQ, mr.S, {((1, 1), (2, 0)): QQ(-1)})) == "MrElement((-1)*S[-1,2])"
+
+
+def test_misused_elements_raise_or_compare_unequal():
+    with pytest.raises(ValueError, match="unknown basis 'X' for sym"):
+        sym.SymElement(QQ, "X")
+    f = sym.SymElement(QQ, sym.S, {(1,): QQ(1)})
+    # elements of different algebras, or of one algebra in different bases
+    with pytest.raises(TypeError, match="expected a SymElement"):
+        f + mr.MrElement(QQ, mr.S, {((1, 0),): QQ(1)})
+    with pytest.raises(ValueError, match="basis mismatch: S vs R"):
+        f + sym.SymElement(QQ, sym.R, {(1,): QQ(1)})
+    # a non-element is never equal, even to the unit or to its terms
+    for other in (1, QQ(1), f.terms, "S[1]", None):
+        assert (f == other) is False and (f != other) is True
+    assert (sym.unit(QQ) == 1) is False

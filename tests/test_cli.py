@@ -191,6 +191,14 @@ def test_bmaj_general_colors(capsys):
     )
 
 
+def test_bmaj_of_the_composition_of_zero(capsys):
+    # the empty text is the composition of 0, with no parts and bmaj 0
+    code, data = run_json(capsys, "bmaj", "--composition", "")
+    assert code == 0
+    assert (data["composition"], data["weights"], data["bmaj"]) == ("", [], 0)
+    assert (data["rho"], data["maj_rho"], data["consistent"]) == ("", 0, True)
+
+
 def test_hilbert_json(capsys):
     code, data = run_json(
         capsys, "hilbert", "--algebra", "mrsharp", "--r", "3", "--max-degree", "3"
@@ -353,10 +361,12 @@ def test_invalid_flags_rejected(capsys):
             "generators", "--max-degree", "2",
             "--out", str(Path(__file__).parent / "no-such-directory" / "report.json"),
         ],
+        ["bmaj", "--composition", "1", "--out", ""],
     ],
     ids=[
         "r-zero", "r-negative", "bad-composition", "color-out-of-level", "negative-degree",
         "negative-n", "cap", "bsym-r", "out-directory", "out-missing-directory",
+        "empty-out",
     ],
 )
 def test_misuse_is_a_usage_error(argv, capsys):

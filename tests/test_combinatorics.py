@@ -31,8 +31,10 @@ import reference_permutations
 from reference_permutations import (
     compose,
     compose_signed,
+    composition_from_descents,
     descent_positions,
     hook_size,
+    signed_descent_set,
     weak_order_ideal,
     weak_order_leq,
 )
@@ -122,6 +124,15 @@ def test_signed_descent_composition_examples():
     assert signed_descent_composition((1, 2, 3, 4, 5, 6)) == (6,)
     # same underlying permutation, single bar at position 4
     assert signed_descent_composition((2, 3, 1, -5, 4, 6)) == (2, 1, 3)
+
+
+def test_signed_descent_composition_is_the_type_a_scan_of_0w():
+    # the one scan of 0w against the successive gaps of w's descent set,
+    # the empty word included
+    for n in range(7):
+        for w in comb.signed_permutations(n):
+            expected = composition_from_descents(signed_descent_set(w), n)
+            assert signed_descent_composition(w) == expected, w
 
 
 def test_type_b_compositions_count():
@@ -238,7 +249,7 @@ def test_permutations_by_descent_matches_the_descent_sets():
         table = comb.permutations_by_descent(n)
         expected = {I: [] for I in compositions(n)}
         for p in permutations(n):
-            I = comb.composition_from_descents(descent_positions(p), n)
+            I = composition_from_descents(descent_positions(p), n)
             assert descent_composition(p) == I
             expected[I].append(p)
         assert list(table) == list(expected)

@@ -2,6 +2,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from peakforge import algebra, fqsym, oracle, sym
 from peakforge.combinatorics import inverse, inverse_inversion_masks, left_right_minima, permutations
 from peakforge.scalars import QQ, QQq, cyclotomic_field, ring_of
@@ -383,3 +385,12 @@ def test_appendix_monomial_expansion_small():
             fqsym.M,
         )
         assert lhs == fqsym.complete_monomial_expansion(n, q)
+
+
+def test_basis_changes_refuse_the_wrong_basis():
+    g = fqsym.FqsymElement(QQ, fqsym.G, {(2, 1): QQ(1)})
+    m = fqsym.FqsymElement(QQ, fqsym.M, {(2, 1): QQ(1)})
+    with pytest.raises(ValueError, match="expected a G-basis element"):
+        fqsym.g_to_m(m)
+    with pytest.raises(ValueError, match="expected an M-basis element"):
+        fqsym.m_to_g(g)

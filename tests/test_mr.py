@@ -175,7 +175,7 @@ def test_superization_at_minus_one_is_flat_sum():
     got = mr.superization(MS(((3, 0),)), q)
     expected = mr.MrElement.zero(ring, mr.S)
     lam = mr_lambda_series(ring, 3, color=1)
-    sig = mr.sigma_series(ring, 3, color=0)
+    sig = mr.sigma_series(ring, 3)
     expected = mr.product(lam, sig).homogeneous(3)
     assert got == expected
 
@@ -558,3 +558,8 @@ def test_superization_at_zero_is_the_identity():
         QQ, mr.S, {J: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for J in words}
     )
     assert mr.superization(f, 0) == f
+
+
+def test_klyachko_element_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'x'"):
+        mr.klyachko_element(2, "x")

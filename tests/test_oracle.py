@@ -14,13 +14,12 @@ from peakforge.combinatorics import (
     permutations,
     permutations_by_descent,
     signed_descent_composition,
-    signed_descent_set,
     signed_permutations,
     signed_permutations_by_descent,
     type_b_compositions,
 )
 from peakforge.scalars import QQ, cyclotomic_field
-from reference_permutations import compose, compose_signed, delta
+from reference_permutations import compose, compose_signed, delta, signed_descent_set
 
 
 def test_group_product_identity_and_involution():

@@ -14,9 +14,15 @@ def test_series_coefficients():
     assert peak.series_coefficients([1], [1, -1], 5) == [1, 1, 1, 1, 1, 1]
     assert peak.series_coefficients([1], [1, -1, -1], 6) == [1, 1, 2, 3, 5, 8, 13]
     assert peak.series_coefficients([1, 0, -1], [1, -1, -1], 5) == [1, 1, 1, 2, 3, 5]
+    assert peak.series_coefficients([1], [-1, 1], 3) == [-1, -1, -1, -1]
+    for den in ([2, 1], [0, 1], [-3]):
+        with pytest.raises(ValueError, match="constant term must be a unit"):
+            peak.series_coefficients([1], den, 3)
 
 
 def test_predicted_dimensions_tables():
+    with pytest.raises(ValueError, match="^unknown algebra 'x'$"):
+        peak.predicted_dimensions("x", 2, 3)
     assert peak.predicted_dimensions(peak.PEAK, 2, 5)[1] == [1, 1, 1, 2, 3, 5]
     assert peak.predicted_dimensions(peak.PEAK, 3, 6)[1] == [1, 1, 2, 3, 6, 11, 20]
     assert peak.predicted_dimensions(peak.UNITAL_PEAK, 2, 8)[1] == [

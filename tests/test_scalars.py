@@ -240,6 +240,26 @@ def test_ring_mixing_raises():
         field(QQq.q)
     with pytest.raises(TypeError):
         QQq(field.zeta)
+    for bad in ("1", 1.5, None):
+        with pytest.raises(TypeError, match="cannot coerce"):
+            field(bad)
+    # every operator refuses a Q(q) operand beside a Q(zeta_r) one, both
+    # ways round, and so does a power that is not an int
+    q, z = QQq.q, field.zeta
+    mixed = (
+        lambda: q + z,
+        lambda: z + q,
+        lambda: q - z,
+        lambda: z - q,
+        lambda: z * q,
+        lambda: q / z,
+        lambda: z / q,
+        lambda: q**0.5,
+        lambda: z**0.5,
+    )
+    for operation in mixed:
+        with pytest.raises(TypeError):
+            operation()
     assert common_ring(QQ, field) is field
     assert common_ring(QQq, QQ) is QQq
 
@@ -253,6 +273,9 @@ def test_scalar_strings():
     field = cyclotomic_field(3)
     assert scalar_str(field.zeta) == "[0,1]@3"
     assert scalar_str(field(Fraction(1, 2))) == "[1/2,0]@3"
+    for bad in ("1", 1.5, None):
+        with pytest.raises(TypeError, match="not a scalar"):
+            scalar_str(bad)
 
 
 def _ratfunc(coeffs):
@@ -624,6 +647,9 @@ def test_ring_of():
     assert ring_of(QQq.q) is QQq
     field = cyclotomic_field(4)
     assert ring_of(field.zeta) is field
+    for bad in ("1", 1.5, None):
+        with pytest.raises(TypeError, match="not a scalar"):
+            ring_of(bad)
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 from functools import cache
 
+import pytest
+
 from peakforge import fqsym, sym
 from peakforge.algebra import expand_letters
 from peakforge.combinatorics import compositions
@@ -332,6 +334,9 @@ def test_one_minus_q_transform_is_algebra_morphism():
 def test_power_sum_examples():
     assert sym.power_sum(1, QQ) == R((1,))
     assert sym.power_sum(2, QQ) == R((2,)) - R((1, 1))
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="power sums start in degree 1"):
+            sym.power_sum(n, QQ)
 
 
 def test_power_sum_monomial_image_degree_2():
