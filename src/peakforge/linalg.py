@@ -15,17 +15,32 @@ every other pivot and label columns are never pivots.  Entries that
 cancel leave stale pivots in the index, which a visit skips.
 :meth:`GradedSubspace.freeze` releases the index.
 
+Vectors enter by one of two routes into one elimination body:
+
+* :meth:`GradedSubspace.insert` takes a map from ambient keys to scalars
+  of any type the ring coerces.  It maps each key to its column, coerces
+  each value into the ring and drops the zeros, and it raises on a key
+  outside the ambient basis or a value of another field.
+* :meth:`GradedSubspace.insert_columns` takes a vector already keyed by
+  column, as the rows that :meth:`GradedSubspace.column_rows` reads and
+  :func:`prefix_columns` re-indexes are.  It checks nothing per entry: the
+  caller vouches that every column is an ambient one and every value a
+  nonzero element of the span's own ring, and it hands the dict over.
+  It refuses a frozen span, as ``insert`` does, and a tracked one, whose
+  inserts carry labels.
+
 Every elimination step is one ``target -= c * row``, and a span stores
 its entries in its own ring.  It takes its kernel for that step once, from
 :func:`~peakforge.scalars.elimination_kernel` (the scalars module
-docstring says which fields run on integers).
+docstring says which fields run on integers); a new row is divided by its
+pivot through :func:`~peakforge.scalars.divide_row`.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .scalars import Cyclo, elimination_kernel, scalar_str
+from .scalars import Cyclo, divide_row, elimination_kernel, scalar_str
 
 
 @cache
@@ -40,6 +55,30 @@ def _column_index(keys: tuple) -> dict:
             raise ValueError(f"duplicate ambient key {k!r}")
         index[k] = i
     return index
+
+
+class _PrefixColumns(dict):
+    """The map of :func:`prefix_columns`, filled one prefix at a time."""
+
+    def __init__(self, keys: tuple, lower_keys: tuple):
+        self.index = _column_index(keys)
+        self.lower_keys = lower_keys
+
+    def __missing__(self, prefix):
+        index = self.index
+        columns = self[prefix] = tuple([index[prefix + w] for w in self.lower_keys])
+        return columns
+
+
+@cache
+def prefix_columns(keys: tuple, lower_keys: tuple) -> dict:
+    """The map prefix -> (column of prefix + w in ``keys`` for each w of
+    ``lower_keys``), shared, read-only, by every caller: a concatenation
+    a * b of a word a and a vector b over ``lower_keys`` sends the column j
+    of b to ``prefix_columns(keys, lower_keys)[a][j]``.  Each prefix's
+    tuple is built once per (key tuple, prefix, lower key tuple), as
+    :func:`_column_index` is built once per key tuple."""
+    return _PrefixColumns(keys, lower_keys)
 
 
 class GradedSubspace:
@@ -123,6 +162,22 @@ class GradedSubspace:
                 label = len(self._labels)
             column = self._labels.setdefault(label, len(self.keys) + len(self._labels))
             v[column] = self.ring.one
+        return self._grow(v)
+
+    def insert_columns(self, v: dict) -> bool:
+        """Enlarge an untracked span by a vector keyed by column, whose
+        values are nonzero elements of the span's own ring; True iff the
+        rank grew.  ``v`` is reduced in place and may become a stored row,
+        so the caller hands it over."""
+        if self._frozen:
+            raise TypeError(f"{self!r} is frozen and cannot be enlarged")
+        if self._labels is not None:
+            raise TypeError(f"{self!r} is tracked, so every insert needs a label")
+        return self._grow(v)
+
+    def _grow(self, v: dict) -> bool:
+        """Reduce an indexed vector; if it leaves the span, store it with
+        its pivot entry one and back-eliminate its pivot."""
         pivot = self._reduce(v)
         if pivot is None:
             return False
@@ -130,9 +185,9 @@ class GradedSubspace:
         # pivot entry becomes the ring's one, so no row keeps an equal copy
         one = self.ring.one
         row = v
-        if v[pivot] != one:
-            inv = one / v[pivot]
-            row = {j: c * inv for j, c in v.items()}
+        lead = v[pivot]
+        if lead is not one and lead != one:
+            row = divide_row(v, lead)
         row[pivot] = one
         # back-eliminate the new pivot from the rows that may hold it; each
         # row changed, and the new one, may now hold every column of row
@@ -177,6 +232,13 @@ class GradedSubspace:
             row = self._rows[pivot]
             out.append({self.keys[j]: c for j, c in sorted(row.items()) if j < n})
         return out
+
+    def column_rows(self) -> list:
+        """The stored echelon rows, keyed by column (label columns too, in
+        a tracked span), sorted by pivot: the span's own dicts, which the
+        caller must not change."""
+        rows = self._rows
+        return [rows[p] for p in sorted(rows)]
 
     def pivot_keys(self):
         return [self.keys[i] for i in sorted(self._rows)]

@@ -16,7 +16,7 @@ from itertools import accumulate
 
 from .algebra import internal
 from .combinatorics import format_composition, sorted_compositions, type_b_compositions
-from .linalg import GradedSubspace
+from .linalg import GradedSubspace, prefix_columns
 from .scalars import QQ, QQq, cyclotomic_field
 from . import mr, oracle, sym
 
@@ -104,31 +104,49 @@ def _span(n: int, ring, keys, factors, lower) -> GradedSubspace:
     Lemma: f * b = {a + w: x * y for a, x in f for w, y in b}, with no key
     met twice and no zero value.  Every letter has positive degree, so a
     word of degree n has exactly one prefix of degree k: a + w = a' + w'
-    with a, a' of degree k forces a = a' and w = w'.  The values are
-    products of two nonzero scalars, so none is zero.  The product
-    is therefore inserted as it is, without ``algebra.word_product``."""
+    with a, a' of degree k forces a = a' and w = w'.  Each value is a
+    product of two nonzero scalars, a nonzero int or Cyclo x and a nonzero
+    Cyclo y, so none is zero; and an int times a Cyclo of the field is a
+    Cyclo of the field.  The product therefore enters the span by column,
+    b's columns sent to those of a + w by :func:`linalg.prefix_columns`,
+    without ``algebra.word_product`` and without key tuples."""
     space = GradedSubspace(ring, keys, degree=n)
     if not n:
         space.insert({(): ring.one})
         return space.freeze()
-    lower_rows = cache(lambda k: lower(n - k, ring.order).basis())  # once per size
     for k, f in factors:
-        for row in lower_rows(k):
-            space.insert({a + w: x * y for a, x in f.items() for w, y in row.items()})
+        low = lower(n - k, ring.order)
+        prefixes = prefix_columns(keys, low.keys)
+        terms = [(prefixes[a], x) for a, x in f.items()]
+        for row in low.column_rows():
+            space.insert_columns(
+                {cols[w]: x * y for cols, x in terms for w, y in row.items()}
+            )
     return space.freeze()
 
 
 def _letter_images(ring, n: int, table, letters) -> list:
     """(k, terms of the image of x at q = zeta_r) for the letters x of each
     size k, k = 1..n in turn, read from the transform's cached letter
-    ``table``, which carries no zero coefficients.
+    ``table``, which carries no zero coefficients; a coefficient that is a
+    rational integer, such as +-1, is kept as an int.
 
     Both transforms are algebra maps, so the image of a word x.w is
     transform(x) times the image of w: these factors times the image spans
     of lower degree span the degree-n image.  Small letters go first: they
     keep the echelon rows sparse while the span fills, where large letters
     first leave dense partial rows to back-eliminate."""
-    return [(k, dict(table(ring.zeta, x))) for k in range(1, n + 1) for x in letters(k)]
+    return [
+        (k, {a: _rational_int(c) for a, c in table(ring.zeta, x)})
+        for k in range(1, n + 1)
+        for x in letters(k)
+    ]
+
+
+def _rational_int(c):
+    """The Cyclo c as an int when it is a rational integer, else c itself:
+    an int multiplies a row entry without a full product in the field."""
+    return c.vec[0] if c.den == 1 and not any(c.vec[1:]) else c
 
 
 @cache

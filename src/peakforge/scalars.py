@@ -12,9 +12,12 @@ Three coefficient fields are supported, all exact:
 * ``cyclotomic_field(r)`` -- Q(zeta_r) = Q[x]/Phi_r(x), whose elements are
   :class:`Cyclo` integer coefficient vectors of length phi(r) over a common
   denominator.  Each field holds one table, x^j mod Phi_r for j < r, which
-  reduces products, evaluates integer polynomials at zeta^k (for
-  :func:`specialize` and the Galois conjugates) and so inverts by the norm:
-  1/a is the product of the other conjugates of a over N(a).
+  reduces products and evaluates integer polynomials at zeta (for
+  :func:`specialize`).  The inverse of a rational is one division; of any
+  other element, over a field of degree 2 (r = 3, 4, 6), its conjugate
+  over its norm, in closed form; over a field of degree 3 or more, the
+  extended Euclidean algorithm modulo Phi_r in its fraction-free form
+  (the subresultant remainder sequence, all in integers).
 
 Integer polynomials are the one polynomial representation at run time.
 ``Fraction`` appears only as the element type of ``QQ``, in coercion (the
@@ -35,6 +38,11 @@ arithmetic, and how their values are cleared and decoded:
   3, 4, 6), :func:`cyclo_subtract_multiple`, which applies the
   closed-form products to the integer vectors of the entries; over every
   other field, :func:`subtract_multiple` in the field's arithmetic.
+* :func:`divide_row` divides a new echelon row by its pivot for
+  :mod:`peakforge.linalg`, over every field: over Q(zeta_r) of degree 1 or
+  2, in closed form on the integer vectors (each entry times the pivot's
+  conjugate, over its norm); over every other field, one inverse of the
+  pivot and one product per entry.
 
 Q(zeta_r) for r >= 3 stays off Kronecker substitution: there the height
 pass and the decoding cost more than the closed-form products of degree 2.
@@ -65,6 +73,7 @@ __all__ = [
     "specialize",
     "over_integers",
     "elimination_kernel",
+    "divide_row",
     "SpecializationError",
     "ring_of",
     "common_ring",
@@ -118,20 +127,26 @@ def _int_cleared(coeffs):
     return tuple(c.numerator * (m // c.denominator) for c in coeffs), m
 
 
-def _int_prem(a, b):
-    """Pseudo-remainder of two integer polynomials (b nonzero)."""
-    a = list(a)
-    db = len(b) - 1
+def _int_pdivmod(a, b):
+    """(Q, R) with lc(b)^(deg a - deg b + 1) * a = Q*b + R and deg R < deg b,
+    for integer polynomials with deg a >= deg b >= 0 (pseudo-division).
+    Long division of the scaled a by b over Q gives Q, whose coefficients
+    are integers, so each step divides by lc(b) exactly."""
+    nb = len(b) - 1
     lb = b[-1]
-    while len(a) - 1 >= db:
-        la = a[-1]
-        shift = len(a) - 1 - db
-        a = [lb * c for c in a]
-        for i, cb in enumerate(b):
-            a[shift + i] -= la * cb
-        while a and not a[-1]:
-            a.pop()
-    return tuple(a)
+    k = len(a) - nb
+    scale = lb**k
+    rem = [c * scale for c in a] if scale != 1 else list(a)
+    quo = [0] * k
+    low = b[:-1]
+    for i in range(k - 1, -1, -1):
+        c = rem[i + nb]
+        if c:
+            c //= lb
+            quo[i] = c
+            for j, cb in enumerate(low, i):
+                rem[j] -= c * cb
+    return tuple(quo), _pstrip(rem[:nb])
 
 
 def _int_mul(a, b):
@@ -196,7 +211,7 @@ def _int_gcd(a, b):
     A = a if ca == 1 else tuple(c // ca for c in a)
     B = b if cb == 1 else tuple(c // cb for c in b)
     while len(B) > 1:
-        A, B = B, _int_content_strip(_int_prem(A, B))
+        A, B = B, _int_content_strip(_int_pdivmod(A, B)[1])
     if B:
         # a nonzero constant remainder: the primitive parts are coprime
         A = _Z1
@@ -212,6 +227,42 @@ def _int_cancel(a, b):
     if g == _Z1:
         return a, b
     return _int_divexact(a, g), _int_divexact(b, g)
+
+
+def _int_inverse_mod(a, m):
+    """(s, c): an integer polynomial s and a nonzero integer c with
+    s*a = c modulo m, for integer polynomials a and m that are coprime in
+    Q[x], with 0 < deg a < deg m.
+
+    The extended Euclidean algorithm in its fraction-free form, the
+    subresultant remainder sequence (Cohen, *A Course in Computational
+    Algebraic Number Theory*, Alg. 3.3.1), carrying the cofactor s of a
+    through each step: each remainder R and its cofactor are divided by
+    g*h^delta, exactly, since both are subresultants up to sign, so the
+    coefficients grow linearly rather than exponentially.  The last
+    remainder is a nonzero constant c, since a and m are coprime, and then
+    deg s < deg m."""
+    A, B = m, a
+    sA, sB = (), _Z1
+    g = h = 1
+    while True:
+        delta = len(A) - len(B)
+        lb = B[-1]
+        quo, R = _int_pdivmod(A, B)
+        # sR = lb^(delta+1) * sA - quo * sB, where deg sA < deg sB
+        sR = [-c for c in _int_mul(quo, sB)]
+        scale = lb ** (delta + 1)
+        for i, c in enumerate(sA):
+            sR[i] += scale * c
+        if len(R) == 1:
+            return sR, R[0]
+        beta = g * h**delta
+        if beta != 1:
+            R = [c // beta for c in R]
+            sR = [c // beta for c in sR]
+        A, B, sA, sB = B, R, sB, sR
+        g = lb
+        h = g**delta // h ** (delta - 1)
 
 
 def _poly_str(coeffs):
@@ -474,25 +525,18 @@ class CyclotomicField:
                 for i, c in enumerate(low):
                     vec[i] += top * c
         self.powers = tuple(powers)
-        # the k != 1 in (Z/r)^*: zeta -> zeta^k are the other embeddings
-        self._conjugates = tuple(k for k in range(2, order) if gcd(k, order) == 1)
         self.name = f"QQ(zeta_{order})"
         self.zero = Cyclo(self, (0,) * d, 1)
         self.one = Cyclo(self, self.powers[0], 1)
         self.zeta = Cyclo(self, self.powers[1 % order], 1)
 
-    def _at(self, coeffs, k=1):
-        """The integer vector of sum_i coeffs[i] * zeta^(i*k), for an
-        integer polynomial ``coeffs`` of any length."""
+    def _at(self, coeffs):
+        """The integer vector of sum_i coeffs[i] * zeta^i, for an integer
+        polynomial ``coeffs`` of any length."""
         r, d = self.order, self.degree
-        if k == 1:
-            acc = list(coeffs[:r])
-            for i in range(r, len(coeffs)):
-                acc[i % r] += coeffs[i]
-        else:
-            acc = [0] * r
-            for i, c in enumerate(coeffs):
-                acc[i * k % r] += c
+        acc = list(coeffs[:r])
+        for i in range(r, len(coeffs)):
+            acc[i % r] += coeffs[i]
         out = acc[:d] + [0] * (d - len(acc))
         powers = self.powers
         for j in range(d, len(acc)):
@@ -538,12 +582,13 @@ class Cyclo(_FieldElement):
 
     Fields of degree 1 and 2 (r = 1, 2, 3, 4, 6) multiply in closed form and
     degree 2 also inverts in closed form; higher degrees convolve and reduce
-    through the field's table of zeta powers.  Every other inverse is the
-    product of the other conjugates over the norm, all in integers.
+    through the field's table of zeta powers, and invert by
+    :func:`_int_inverse_mod`, all in integers.
 
-    Elimination in degree 1 and 2 does not come through here entry by
-    entry: :func:`cyclo_subtract_multiple` applies the same closed forms to
-    the integer vectors of whole sparse rows."""
+    Elimination and row division in degree 1 and 2 do not come through
+    here entry by entry: :func:`cyclo_subtract_multiple` and
+    :func:`divide_row` apply the same closed forms to the integer vectors
+    of whole sparse rows."""
 
     __slots__ = ("field", "vec", "den")
 
@@ -670,21 +715,16 @@ class Cyclo(_FieldElement):
     def inverse(self):
         field = self.field
         a = self.vec
-        if not any(a):
-            raise ZeroDivisionError("inverse of zero cyclotomic element")
-        if field.degree == 2:
-            # times the conjugate a0 + a1*x' (x + x' = m1, x*x' = -m0),
-            # over the norm
-            m0, m1 = field.powers[2]
-            a0, a1 = a
-            norm = a0 * a0 + m1 * a0 * a1 - m0 * a1 * a1
-            return Cyclo(field, (self.den * (a0 + m1 * a1), -self.den * a1), norm)
-        # 1/a = (product of the other conjugates of a) / N(a), N(a) rational
-        rest = field.one
-        for k in field._conjugates:
-            rest = rest * _cyclo(field, field._at(a, k), 1)
-        norm = (_cyclo(field, a, 1) * rest).vec[0]
-        return Cyclo(field, tuple(self.den * v for v in rest.vec), norm)
+        d = field.degree
+        if not any(a[1:]):
+            if not a[0]:
+                raise ZeroDivisionError("inverse of zero cyclotomic element")
+            return Cyclo(field, (self.den,) + (0,) * (d - 1), a[0])
+        if d == 2:
+            q0, q1, norm = _conjugate_over_norm(field, a)
+            return Cyclo(field, (self.den * q0, self.den * q1), norm)
+        s, c = _int_inverse_mod(_pstrip(a), field.modulus)
+        return Cyclo(field, tuple([self.den * v for v in s]) + (0,) * (d - len(s)), c)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -707,6 +747,16 @@ def _cyclo(field, vec, den):
     r.vec = vec
     r.den = den
     return r
+
+
+def _conjugate_over_norm(field, a):
+    """(q0, q1, N) with (a0 + a1*x) * (q0 + q1*x) = N, an integer, for the
+    integer vector a of a nonzero element of a field of degree 2: q is the
+    conjugate a0 + a1*x' (x + x' = m1, x*x' = -m0) and N the norm, which
+    is positive, since these fields are imaginary quadratic."""
+    m0, m1 = field.powers[2]
+    a0, a1 = a
+    return a0 + m1 * a1, -a1, a0 * a0 + m1 * a0 * a1 - m0 * a1 * a1
 
 
 # --------------------------------------------------------------------------
@@ -892,6 +942,49 @@ def cyclo_subtract_multiple(target: dict, c: Cyclo, row: dict):
                     del target[j]
         else:
             _subtract_entry(target, j, t, c, rc)
+
+
+def divide_row(row: dict, p) -> dict:
+    """{j: c / p for j, c in row.items()}, a new dict, for a nonzero p and
+    values c of p's field.
+
+    Over Q(zeta_r) of degree 1 or 2 (r = 1, 2, 3, 4, 6) each quotient is
+    formed on the integer vectors: with p = P/den(p), c/p = c * den(p) * P'
+    / N(P), where P' is the conjugate of P (1 in degree 1) and N(P) = P*P'
+    its norm, an integer; the product with c takes the closed form of
+    :meth:`Cyclo.__mul__`, and one gcd makes the value canonical.  Over
+    every other field it is one inverse of p and one product per entry.
+    Both give the canonical values of ``c * (1 / p)``."""
+    if type(p) is not Cyclo or p.field.degree > 2:
+        inv = p.inverse() if type(p) is Cyclo else 1 / p
+        return {j: c * inv for j, c in row.items()}
+    field = p.field
+    out = {}
+    if field.degree == 1:
+        # c/p = (c0 * den(p)) / (den(c) * p0)
+        (q0,) = p.vec
+        scale = p.den
+        if q0 < 0:
+            q0, scale = -q0, -scale
+        for j, c in row.items():
+            v = c.vec[0] * scale
+            den = c.den * q0
+            g = gcd(v, den)
+            out[j] = _cyclo(field, (v // g,), den // g)
+        return out
+    m0, m1 = field.powers[2]  # x^2 = m0 + m1*x
+    q0, q1, norm = _conjugate_over_norm(field, p.vec)
+    q0 *= p.den
+    q1 *= p.den
+    for j, c in row.items():
+        b0, b1 = c.vec
+        u = b1 * q1
+        v0 = b0 * q0 + m0 * u
+        v1 = b0 * q1 + b1 * q0 + m1 * u
+        den = c.den * norm
+        g = gcd(den, v0, v1)
+        out[j] = _cyclo(field, (v0 // g, v1 // g), den // g)
+    return out
 
 
 def _subtract_entry(target, j, t, c, rc):

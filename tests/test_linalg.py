@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peakforge import scalars
-from peakforge.linalg import GradedSubspace
+from peakforge.linalg import GradedSubspace, prefix_columns
 from peakforge.scalars import QQ, QQq, Cyclo, cyclotomic_field
 
 
@@ -433,3 +433,55 @@ def test_column_index_matches_the_full_scan(ring, gen, track):
         with pytest.raises(TypeError):
             span.insert(vectors[0])
         assert span.basis() == reference.basis()
+
+
+def test_column_insert_refuses_a_frozen_span():
+    field = cyclotomic_field(3)
+    s = GradedSubspace(field, ["x", "y"])
+    s.insert({"x": field.one})
+    s.freeze()
+    with pytest.raises(TypeError, match="frozen"):
+        s.insert_columns({1: field.zeta})
+    assert s.rank == 1 and s.pivot_keys() == ["x"]
+
+
+def test_column_insert_refuses_a_tracked_span():
+    # a tracked span labels each insert; a column-keyed vector has no label
+    field = cyclotomic_field(3)
+    s = GradedSubspace(field, ["x", "y"], track=True)
+    with pytest.raises(TypeError, match="tracked"):
+        s.insert_columns({0: field.one})
+    assert s.rank == 0
+    assert s.insert({"x": field.one}, label="u")
+    assert s.coordinates({"x": field(2)}) == {"u": 2}
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5, 6])
+def test_column_route_builds_the_key_route_span(r):
+    # the same vectors by key and by column give the same rows, by value
+    # and by column
+    field = cyclotomic_field(r)
+    rng = random.Random(r)
+    keys = [(i,) for i in range(7)]
+    by_key, by_column = GradedSubspace(field, keys), GradedSubspace(field, keys)
+    for _ in range(10):
+        v = {}
+        for j in rng.sample(range(len(keys)), rng.randint(1, 4)):
+            vec = [rng.randint(-3, 3) for _ in range(field.degree)]
+            if any(vec):
+                v[j] = Cyclo(field, vec, rng.choice([1, 1, 2, 3]))
+        grew = by_key.insert({keys[j]: c for j, c in v.items()})
+        assert by_column.insert_columns(dict(v)) == grew
+    assert by_column.basis() == by_key.basis()
+    assert by_column.column_rows() == by_key.column_rows()
+    assert [keys[min(row)] for row in by_key.column_rows()] == by_key.pivot_keys()
+
+
+def test_prefix_columns_send_lower_columns_to_the_concatenation():
+    keys = ((1, 1), (1, 2), (2, 1), (2, 2))
+    lower = ((1,), (2,))
+    table = prefix_columns(keys, lower)
+    assert table[(1,)] == (0, 1) and table[(2,)] == (2, 3)
+    assert prefix_columns(keys, lower) is table  # one map per key tuple pair
+    with pytest.raises(KeyError):
+        table[(3,)]

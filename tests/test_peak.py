@@ -201,21 +201,23 @@ def _image_of_every_word(n, r, keys, element, transform):
 
 
 @pytest.mark.parametrize(
-    "builder, element, transform, keys, r_max, n_max",
+    "builder, element, transform, keys, n_max_by_r",
     [
+        # r = 7 reaches a field of degree 6
         (peak.peak_subspace, sym.SymElement, sym.one_minus_q_transform,
-         compositions, 6, 6),
+         compositions, {1: 6, 2: 6, 3: 6, 4: 6, 5: 6, 6: 6, 7: 6}),
+        # r = 5 and r = 8 reach fields of degree 4
         (peak.mr_sharp_subspace, mr.MrElement, mr.superization,
-         colored_compositions, 4, 5),
+         colored_compositions, {1: 5, 2: 5, 3: 5, 4: 5, 5: 4, 8: 4}),
     ],
     ids=["peak", "mrsharp"],
 )
 def test_letter_recursion_spans_the_image_of_every_word(
-    builder, element, transform, keys, r_max, n_max
+    builder, element, transform, keys, n_max_by_r
 ):
     # the builders span the image from the letter images times the lower
     # degrees; r = 1 is the zero map above degree 0
-    for r in range(1, r_max + 1):
+    for r, n_max in n_max_by_r.items():
         for n in range(n_max + 1):
             reference = _image_of_every_word(
                 n, r, sorted(keys(n)), element, transform

@@ -22,6 +22,7 @@ from peakforge.scalars import (
     common_ring,
     cyclotomic_field,
     cyclotomic_polynomial,
+    divide_row,
     over_integers,
     ring_of,
     scalar_str,
@@ -127,6 +128,77 @@ def test_cyclo_inverse_and_division():
     assert (x / x) == field.one
     with pytest.raises(ZeroDivisionError):
         field.zero.inverse()
+
+
+def _norm_inverse(x):
+    """Reference inverse: 1/a is the product of the other conjugates of a
+    over the norm N(a), a rational; a conjugate a(zeta^k), k prime to r,
+    is read off through the field's table of zeta powers."""
+    field = x.field
+    r = field.order
+    rest = field.one
+    for k in range(2, r):
+        if gcd(k, r) == 1:
+            acc = [0] * r
+            for i, c in enumerate(x.vec):
+                acc[i * k % r] += c
+            rest = rest * Cyclo(field, field._at(acc))
+    norm = (Cyclo(field, x.vec) * rest).vec[0]
+    return Cyclo(field, tuple(x.den * v for v in rest.vec), norm)
+
+
+@pytest.mark.parametrize("r", [5, 7, 8, 12, 240])
+def test_euclidean_inverse_matches_the_norm_inverse(r):
+    field = cyclotomic_field(r)
+    rng = random.Random(r)
+    d = field.degree
+    samples = [
+        field.zeta,
+        field.one - field.zeta,
+        Cyclo(field, [0] * (d - 1) + [-3], 2),  # a monomial
+        Cyclo(field, [1] + [0] * (d - 2) + [1], 1),  # the two ends
+    ]
+    for _ in range(6 if r < 100 else 2):
+        vec = [rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(d)]
+        vec[rng.randrange(1, d)] = rng.choice([-2, -1, 1, 3])  # irrational
+        samples.append(Cyclo(field, vec, rng.randint(1, 12)))
+    for x in samples:
+        got, expected = x.inverse(), _norm_inverse(x)
+        assert (got.vec, got.den) == (expected.vec, expected.den), x
+    assert field(Fraction(-3, 4)).inverse() == field(Fraction(-4, 3))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 6, 5])
+def test_row_division_is_the_product_by_the_inverse(r):
+    # the closed forms of degree 1 and 2 (and the inverse route of r = 5)
+    # against {j: c * (one / p)}, vector and denominator alike
+    field = cyclotomic_field(r)
+    rng = random.Random(29 + r)
+
+    def draw():
+        while True:
+            vec = [rng.randint(-7, 7) for _ in range(field.degree)]
+            if any(vec):
+                return Cyclo(field, vec, rng.choice([1, 1, 2, 3, 6, 10]))
+
+    for _ in range(40):
+        row = {j: draw() for j in rng.sample(range(20), rng.randint(1, 8))}
+        for p in (draw(), next(iter(row.values())), -field.one):
+            got = divide_row(row, p)
+            expected = {j: c * (field.one / p) for j, c in row.items()}
+            assert list(got) == list(expected)
+            for j, c in got.items():
+                assert c.field is field
+                assert (c.vec, c.den) == (expected[j].vec, expected[j].den)
+                assert _canonical_cyclo(c)
+
+
+def test_row_division_over_q_and_q_of_q():
+    row = {0: Fraction(3, 4), 5: Fraction(-2)}
+    assert divide_row(row, Fraction(-3, 2)) == {0: Fraction(-1, 2), 5: Fraction(4, 3)}
+    q = QQq.q
+    row = {1: q, 2: QQq.one - q * q}
+    assert divide_row(row, QQq.one - q) == {1: q / (QQq.one - q), 2: QQq.one + q}
 
 
 def test_cancellation_is_exact_in_all_rings():
