@@ -22,12 +22,12 @@ Vectors enter by one of two routes into one elimination body:
   each value into the ring and drops the zeros, and it raises on a key
   outside the ambient basis or a value of another field.
 * :meth:`GradedSubspace.insert_columns` takes a vector already keyed by
-  column, as the rows that :meth:`GradedSubspace.column_rows` reads and
-  :func:`prefix_columns` re-indexes are.  It checks nothing per entry: the
-  caller vouches that every column is an ambient one and every value a
-  nonzero element of the span's own ring, and it hands the dict over.
-  It refuses a frozen span, as ``insert`` does, and a tracked one, whose
-  inserts carry labels.
+  column, built from the rows that :meth:`GradedSubspace.column_rows`
+  reads and the key -> column map :attr:`GradedSubspace.column_index`.
+  It checks nothing per entry: the caller vouches that every column is an
+  ambient one and every value a nonzero element of the span's own ring,
+  and it hands the dict over.  It refuses a frozen span, as ``insert``
+  does, and a tracked one, whose inserts carry labels.
 
 Every elimination step is one ``target -= c * row``, and a span stores
 its entries in its own ring.  It takes its kernel for that step once, from
@@ -55,30 +55,6 @@ def _column_index(keys: tuple) -> dict:
             raise ValueError(f"duplicate ambient key {k!r}")
         index[k] = i
     return index
-
-
-class _PrefixColumns(dict):
-    """The map of :func:`prefix_columns`, filled one prefix at a time."""
-
-    def __init__(self, keys: tuple, lower_keys: tuple):
-        self.index = _column_index(keys)
-        self.lower_keys = lower_keys
-
-    def __missing__(self, prefix):
-        index = self.index
-        columns = self[prefix] = tuple([index[prefix + w] for w in self.lower_keys])
-        return columns
-
-
-@cache
-def prefix_columns(keys: tuple, lower_keys: tuple) -> dict:
-    """The map prefix -> (column of prefix + w in ``keys`` for each w of
-    ``lower_keys``), shared, read-only, by every caller: a concatenation
-    a * b of a word a and a vector b over ``lower_keys`` sends the column j
-    of b to ``prefix_columns(keys, lower_keys)[a][j]``.  Each prefix's
-    tuple is built once per (key tuple, prefix, lower key tuple), as
-    :func:`_column_index` is built once per key tuple."""
-    return _PrefixColumns(keys, lower_keys)
 
 
 class GradedSubspace:
@@ -232,6 +208,12 @@ class GradedSubspace:
             row = self._rows[pivot]
             out.append({self.keys[j]: c for j, c in sorted(row.items()) if j < n})
         return out
+
+    @property
+    def column_index(self) -> dict:
+        """Ambient key -> its column: the index shared by every span over
+        the same key tuple, which the caller must not change."""
+        return self._index
 
     def column_rows(self) -> list:
         """The stored echelon rows, keyed by column (label columns too, in

@@ -16,7 +16,7 @@ from itertools import accumulate
 
 from .algebra import internal
 from .combinatorics import format_composition, sorted_compositions, type_b_compositions
-from .linalg import GradedSubspace, prefix_columns
+from .linalg import GradedSubspace
 from .scalars import QQ, QQq, cyclotomic_field
 from . import mr, oracle, sym
 
@@ -108,16 +108,16 @@ def _span(n: int, ring, keys, factors, lower) -> GradedSubspace:
     product of two nonzero scalars, a nonzero int or Cyclo x and a nonzero
     Cyclo y, so none is zero; and an int times a Cyclo of the field is a
     Cyclo of the field.  The product therefore enters the span by column,
-    b's columns sent to those of a + w by :func:`linalg.prefix_columns`,
-    without ``algebra.word_product`` and without key tuples."""
+    without ``algebra.word_product``: each prefix a sends the columns of
+    the lower keys w to those of a + w, once per factor."""
     space = GradedSubspace(ring, keys, degree=n)
     if not n:
         space.insert({(): ring.one})
         return space.freeze()
+    column = space.column_index
     for k, f in factors:
         low = lower(n - k, ring.order)
-        prefixes = prefix_columns(keys, low.keys)
-        terms = [(prefixes[a], x) for a, x in f.items()]
+        terms = [(tuple([column[a + w] for w in low.keys]), x) for a, x in f.items()]
         for row in low.column_rows():
             space.insert_columns(
                 {cols[w]: x * y for cols, x in terms for w, y in row.items()}
@@ -137,16 +137,10 @@ def _letter_images(ring, n: int, table, letters) -> list:
     keep the echelon rows sparse while the span fills, where large letters
     first leave dense partial rows to back-eliminate."""
     return [
-        (k, {a: _rational_int(c) for a, c in table(ring.zeta, x)})
+        (k, {a: c.integer_or_self() for a, c in table(ring.zeta, x)})
         for k in range(1, n + 1)
         for x in letters(k)
     ]
-
-
-def _rational_int(c):
-    """The Cyclo c as an int when it is a rational integer, else c itself:
-    an int multiplies a row entry without a full product in the field."""
-    return c.vec[0] if c.den == 1 and not any(c.vec[1:]) else c
 
 
 @cache

@@ -39,10 +39,10 @@ arithmetic, and how their values are cleared and decoded:
   closed-form products to the integer vectors of the entries; over every
   other field, :func:`subtract_multiple` in the field's arithmetic.
 * :func:`divide_row` divides a new echelon row by its pivot for
-  :mod:`peakforge.linalg`, over every field: over Q(zeta_r) of degree 1 or
-  2, in closed form on the integer vectors (each entry times the pivot's
-  conjugate, over its norm); over every other field, one inverse of the
-  pivot and one product per entry.
+  :mod:`peakforge.linalg`, over every field: over Q(zeta_r) of degree 2
+  (r = 3, 4, 6), in closed form on the integer vectors (each entry times
+  the pivot's conjugate, over its norm); over every other field, one
+  inverse of the pivot and one product per entry.
 
 Q(zeta_r) for r >= 3 stays off Kronecker substitution: there the height
 pass and the decoding cost more than the closed-form products of degree 2.
@@ -585,8 +585,8 @@ class Cyclo(_FieldElement):
     through the field's table of zeta powers, and invert by
     :func:`_int_inverse_mod`, all in integers.
 
-    Elimination and row division in degree 1 and 2 do not come through
-    here entry by entry: :func:`cyclo_subtract_multiple` and
+    Elimination in degree 1 and 2, and row division in degree 2, do not
+    come through here entry by entry: :func:`cyclo_subtract_multiple` and
     :func:`divide_row` apply the same closed forms to the integer vectors
     of whole sparse rows."""
 
@@ -711,6 +711,13 @@ class Cyclo(_FieldElement):
         if self.den == 1:
             return _cyclo(field, vec, 1)
         return Cyclo(field, vec, self.den)
+
+    def integer_or_self(self):
+        """self as an int when it is a rational integer, else self: an int
+        multiplies a Cyclo through :meth:`_times_int`, without a full
+        product in the field."""
+        vec = self.vec
+        return vec[0] if self.den == 1 and not any(vec[1:]) else self
 
     def inverse(self):
         field = self.field
@@ -948,30 +955,18 @@ def divide_row(row: dict, p) -> dict:
     """{j: c / p for j, c in row.items()}, a new dict, for a nonzero p and
     values c of p's field.
 
-    Over Q(zeta_r) of degree 1 or 2 (r = 1, 2, 3, 4, 6) each quotient is
-    formed on the integer vectors: with p = P/den(p), c/p = c * den(p) * P'
-    / N(P), where P' is the conjugate of P (1 in degree 1) and N(P) = P*P'
-    its norm, an integer; the product with c takes the closed form of
-    :meth:`Cyclo.__mul__`, and one gcd makes the value canonical.  Over
-    every other field it is one inverse of p and one product per entry.
-    Both give the canonical values of ``c * (1 / p)``."""
-    if type(p) is not Cyclo or p.field.degree > 2:
+    Over Q(zeta_r) of degree 2 (r = 3, 4, 6) each quotient is formed on
+    the integer vectors: with p = P/den(p), c/p = c * den(p) * P' / N(P),
+    where P' is the conjugate of P and N(P) = P*P' its norm, an integer;
+    the product with c takes the closed form of :meth:`Cyclo.__mul__`, and
+    one gcd makes the value canonical.  Over every other field it is one
+    inverse of p and one product per entry.  Both give the canonical
+    values of ``c * (1 / p)``."""
+    if type(p) is not Cyclo or p.field.degree != 2:
         inv = p.inverse() if type(p) is Cyclo else 1 / p
         return {j: c * inv for j, c in row.items()}
     field = p.field
     out = {}
-    if field.degree == 1:
-        # c/p = (c0 * den(p)) / (den(c) * p0)
-        (q0,) = p.vec
-        scale = p.den
-        if q0 < 0:
-            q0, scale = -q0, -scale
-        for j, c in row.items():
-            v = c.vec[0] * scale
-            den = c.den * q0
-            g = gcd(v, den)
-            out[j] = _cyclo(field, (v // g,), den // g)
-        return out
     m0, m1 = field.powers[2]  # x^2 = m0 + m1*x
     q0, q1, norm = _conjugate_over_norm(field, p.vec)
     q0 *= p.den

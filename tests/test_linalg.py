@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peakforge import scalars
-from peakforge.linalg import GradedSubspace, prefix_columns
+from peakforge.linalg import GradedSubspace
 from peakforge.scalars import QQ, QQq, Cyclo, cyclotomic_field
 
 
@@ -470,18 +470,10 @@ def test_column_route_builds_the_key_route_span(r):
             vec = [rng.randint(-3, 3) for _ in range(field.degree)]
             if any(vec):
                 v[j] = Cyclo(field, vec, rng.choice([1, 1, 2, 3]))
+        column = by_column.column_index
+        assert all(column[keys[j]] == j for j in v)
         grew = by_key.insert({keys[j]: c for j, c in v.items()})
         assert by_column.insert_columns(dict(v)) == grew
     assert by_column.basis() == by_key.basis()
     assert by_column.column_rows() == by_key.column_rows()
     assert [keys[min(row)] for row in by_key.column_rows()] == by_key.pivot_keys()
-
-
-def test_prefix_columns_send_lower_columns_to_the_concatenation():
-    keys = ((1, 1), (1, 2), (2, 1), (2, 2))
-    lower = ((1,), (2,))
-    table = prefix_columns(keys, lower)
-    assert table[(1,)] == (0, 1) and table[(2,)] == (2, 3)
-    assert prefix_columns(keys, lower) is table  # one map per key tuple pair
-    with pytest.raises(KeyError):
-        table[(3,)]

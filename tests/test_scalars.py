@@ -170,8 +170,8 @@ def test_euclidean_inverse_matches_the_norm_inverse(r):
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 6, 5])
 def test_row_division_is_the_product_by_the_inverse(r):
-    # the closed forms of degree 1 and 2 (and the inverse route of r = 5)
-    # against {j: c * (one / p)}, vector and denominator alike
+    # the closed form of degree 2 (and the inverse route of the other
+    # fields) against {j: c * (one / p)}, vector and denominator alike
     field = cyclotomic_field(r)
     rng = random.Random(29 + r)
 
