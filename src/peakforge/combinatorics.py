@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cache
+from operator import or_
 from types import MappingProxyType
 
 # --------------------------------------------------------------------------
@@ -128,10 +129,18 @@ def left_right_minima(perm) -> tuple[frozenset, int]:
 @cache
 def permutations_by_descent(n: int) -> MappingProxyType:
     """Permutations of 1..n grouped by descent composition, as a read-only
-    mapping: the table is cached and shared by every caller."""
+    mapping: the table is cached and shared by every caller.
+
+    Lemma: i is a descent of sigma exactly when bit (i - 1, i) of its mask
+    in :func:`inverse_inversion_masks` is set, so each permutation's group
+    is read off its mask restricted to those n - 1 adjacent bits.
+    """
+    adjacent = {i: 1 << (i * (i + 1) // 2 - 1) for i in range(1, n)}  # bit (i-1, i)
     groups: dict = {I: [] for I in compositions(n)}
-    for p in permutations(n):
-        groups[descent_composition(p)].append(p)
+    by_pattern = {sum([adjacent[i] for i in descent_set(I)]): ps for I, ps in groups.items()}
+    everywhere = sum(adjacent.values())
+    for p, mask in inverse_inversion_masks(n).items():
+        by_pattern[mask & everywhere].append(p)
     return MappingProxyType({I: tuple(ps) for I, ps in groups.items()})
 
 
@@ -141,21 +150,54 @@ def permutations_by_descent(n: int) -> MappingProxyType:
 @cache
 def inverse_inversion_masks(n: int) -> MappingProxyType:
     """Permutation sigma -> the bitmask of the value inversions of its
-    inverse, for one degree, as a read-only mapping (the table is cached
-    and shared).
+    inverse, for one degree, as a read-only mapping in lexicographic order
+    (the table is cached and shared).
 
-    Bit (a, b), a < b, is set iff sigma(a) > sigma(b), so u lies in the weak
-    order ideal of the inverse of sigma iff the mask of the inverse of u is
-    contained in the mask of sigma.
+    Bit (a, b), a < b, at a + b(b - 1)/2, is set iff sigma(a) > sigma(b),
+    so u lies in the weak order ideal of the inverse of sigma iff the mask
+    of the inverse of u is contained in the mask of sigma.
+
+    Built by the first letter: in lexicographic order s = (v,) + t, the
+    values of t at or above v raised by one, for v = 1..n and t of degree
+    n - 1 in lexicographic order.  Lemma 1: bit (a, b) of t is bit
+    (a + 1, b + 1) of s, as raising keeps the order.  Lemma 2: bit (0, b)
+    of s is set iff t(b - 1) < v, so the row-0 bits of s are a prefix OR
+    over the values of t below v.
 
     >>> inverse_inversion_masks(3)[(2, 3, 1)]
     6
     """
-    pairs = [(a, b) for b in range(1, n) for a in range(b)]
-    bits = [(1 << i, a, b) for i, (a, b) in enumerate(pairs)]
-    return MappingProxyType(
-        {s: sum([bit for bit, a, b in bits if s[a] > s[b]]) for s in permutations(n)}
-    )
+    if n == 0:
+        return MappingProxyType({(): 0})
+    moved = [1 << (a + 1 + b * (b + 1) // 2) for b in range(1, n - 1) for a in range(b)]
+    tables = or_tables(moved)
+    row0 = [1 << (b * (b - 1) // 2) for b in range(n)]  # bit (0, b), b >= 1
+    raised, prefixes = [], []
+    for t, mask in inverse_inversion_masks(n - 1).items():
+        bits = 0
+        for table in tables:
+            bits |= table[mask & 255]
+            mask >>= 8
+        raised.append(bits)
+        by_value = [row0[b] for b in inverse(t)]
+        prefixes.append(list(itertools.accumulate(by_value, or_, initial=0)))
+    masks = []
+    for v in range(n):
+        masks += [bits | prefix[v] for bits, prefix in zip(raised, prefixes)]
+    return MappingProxyType(dict(zip(permutations(n), masks)))
+
+
+def or_tables(bits: list) -> list:
+    """For each 8-bit chunk of an index into ``bits``, the 256-entry table
+    of the OR of the ``bits[j]`` whose bit j the chunk sets; a mask's OR is
+    one read per chunk."""
+    tables = []
+    for low in range(0, len(bits), 8):
+        table = [0]
+        for bit in bits[low : low + 8]:
+            table += [t | bit for t in table]
+        tables.append(table)
+    return tables
 
 
 # --------------------------------------------------------------------------

@@ -5,18 +5,20 @@ degreewise internal product is composition of permutations on the F basis.
 The monomial basis is pinned by the 0-1 transition G_pi = sum of M_sigma
 over sigma with pi below the inverse of sigma in right weak order, as in
 Aguiar and Sottile (Adv. Math. 191 (2005)), who define M from G by Moebius
-inversion on the weak order.  G -> M counts, for each sigma, how many terms
-of each coefficient lie below the inverse of sigma, with a few bit-table
-reads per sigma (see :func:`g_to_m`); M -> G reads the weak order's Moebius
-function, which is explicit (see :func:`m_to_g`).  Only the internal
-(degreewise) product is implemented; the outer shifted-shuffle product is
-out of scope here.
+inversion on the weak order.  G -> M reads, for each sigma, the set of
+terms below the inverse of sigma as an integer bitset, a few bit-table
+reads per sigma, and memoizes the M coefficient on that bitset (see
+:func:`g_to_m`); M -> G reads the weak order's Moebius function, which is
+explicit (see :func:`m_to_g`).  Only the internal (degreewise) product is
+implemented; the outer shifted-shuffle product is out of scope here.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .algebra import Element, _compositions, by_coefficient, merge_bounds
-from .combinatorics import inverse, inverse_inversion_masks, left_right_minima, permutations
+from .combinatorics import inverse, inverse_inversion_masks, left_right_minima, or_tables
 from .scalars import over_integers, ring_of
 
 G, F, M = "G", "F", "M"
@@ -62,14 +64,14 @@ def _by_degree(terms: dict) -> dict:
 
 
 def _class_sum(counts, classes):
-    """Sum of count times coefficient over the classes; None when every
-    count is zero."""
+    """Sum of count times coefficient over the classes; None when that sum
+    is zero or empty."""
     total = None
     for k, (_, c) in zip(counts, classes):
         if k:
             term = c if k == 1 else k * c
             total = term if total is None else total + term
-    return total
+    return total or None
 
 
 def g_to_m(f: FqsymElement) -> FqsymElement:
@@ -81,9 +83,11 @@ def g_to_m(f: FqsymElement) -> FqsymElement:
     of one coefficient on adjacent bits.  ``above[j]`` holds the terms with
     inversion j; OR tables over 8-bit chunks of a mask give the terms having
     some inversion in the chunk.  The terms outside the ideal of sigma
-    inverse are those having an inversion it lacks, a few table reads; each
-    class is counted by one ``bit_count``, and the coefficient, the sum of
-    count times coefficient, is computed once per distinct count vector.
+    inverse are those having an inversion it lacks, a few table reads, and
+    the rest are ``below``.  The coefficient of M_sigma depends on that int
+    alone and is memoized on it; on a miss each class is counted by one
+    ``bit_count``, and the sum of count times coefficient is memoized on the
+    count vector.  Sigma runs in the order of :func:`inverse_inversion_masks`.
     """
     if f.basis != G:
         raise ValueError("expected a G-basis element")
@@ -101,27 +105,24 @@ def g_to_m(f: FqsymElement) -> FqsymElement:
         # transpose: column j of the rows, read bottom-up as a binary
         # number, holds the terms with inversion size - 1 - j
         above = [int("".join(col), 2) for col in zip(*reversed(rows))][::-1]
-        tables = []
-        for low in range(0, size, 8):
-            chunk = above[low : low + 8]
-            table = [0]
-            for bit in chunk:
-                table += [t | bit for t in table]
-            tables.append(table)
+        tables = or_tables(above)
         everything, full = (1 << start) - 1, (1 << size) - 1
-        sums: dict = {}
-        for sigma in permutations(n):
-            lacks = masks[sigma] ^ full
+        sums: dict = {}  # the terms below, as bits -> their coefficient sum
+        by_counts: dict = {}  # the same sum, keyed by the count of each class
+        for sigma, mask in masks.items():
+            lacks = mask ^ full
             outside = 0
             for table in tables:
                 outside |= table[lacks & 255]
                 lacks >>= 8
             below = everything ^ outside
-            counts = tuple([(below & bits).bit_count() for bits, _ in classes])
-            if counts not in sums:
-                sums[counts] = _class_sum(counts, classes)
-            total = sums[counts]
-            if total:
+            if below not in sums:
+                counts = tuple([(below & bits).bit_count() for bits, _ in classes])
+                if counts not in by_counts:
+                    by_counts[counts] = _class_sum(counts, classes)
+                sums[below] = by_counts[counts]
+            total = sums[below]
+            if total is not None:
                 out[sigma] = total
     return FqsymElement(f.ring, M, out, bound=f.bound)
 
@@ -174,15 +175,22 @@ def internal_product(f: FqsymElement, g: FqsymElement) -> FqsymElement:
 def complete_monomial_expansion(n: int, q) -> FqsymElement:
     """The monomial expansion of the degree-n complete function on the
     (1-q)-dilated alphabet: sum over permutations of (1-q)^(number of
-    left-to-right minima) times M_sigma."""
+    left-to-right minima) times M_sigma.
+
+    Lemma: the minima of s = (v,) + t, with the values of t at or above v
+    raised by one, are v and the minima of t below v; s runs in the order
+    of :func:`~peakforge.combinatorics.inverse_inversion_masks`."""
     ring = ring_of(q)
     one_minus_q = ring(1) - ring(q)
     powers = [ring(1)]
     for _ in range(n):
         powers.append(powers[-1] * one_minus_q)
-    terms = {}
-    for sigma in permutations(n):
-        _, k = left_right_minima(sigma)
-        if powers[k]:
-            terms[sigma] = powers[k]
-    return FqsymElement(ring, M, terms)
+    if n == 0:
+        return FqsymElement(ring, M, {(): powers[0]})
+    below = [  # per t, by its first letter v: 1 + the minima of t below v
+        list(accumulate([x in mins for x in range(1, n)], initial=1))
+        for mins, _ in map(left_right_minima, inverse_inversion_masks(n - 1))
+    ]
+    counts = [k[v] for v in range(n) for k in below]
+    keys = inverse_inversion_masks(n)
+    return FqsymElement(ring, M, dict(zip(keys, map(powers.__getitem__, counts))))

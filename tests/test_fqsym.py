@@ -319,8 +319,37 @@ def test_m_to_g_round_trips_in_degree_7():
     assert expansion.coefficient((2, 1, 3, 4, 5, 6, 7)) == QQ(-1)
 
 
+def test_g_to_m_round_trips_sparse_elements_in_degree_7():
+    # 21 inversion bits, three OR-table chunks; the M coefficients are
+    # memoized on the bitset of the terms below, checked here against the
+    # independent Moebius route
+    rng = random.Random(30)
+    q = QQq.q
+    zeta = cyclotomic_field(3).zeta
+    pools = {
+        QQ: [QQ(1), QQ(-2), QQ(Fraction(1, 3)), QQ(5)],
+        QQq: [q, QQq.one - q, -q * q, QQq.one / (QQq.one - q)],
+        zeta.field: [zeta, zeta + 1, -zeta * zeta, zeta.field(4)],
+    }
+    perms = list(permutations(7))
+    for ring, pool in pools.items():
+        for size in (6, 40):
+            terms = {p: pool[i % len(pool)] for i, p in enumerate(rng.sample(perms, size))}
+            f = fqsym.FqsymElement(ring, fqsym.G, terms)
+            assert len(set(terms.values())) >= 3
+            image = fqsym.g_to_m(f)
+            assert list(image.terms) == sorted(image.terms)
+            assert fqsym.m_to_g(image) == f and fqsym.m_to_g(image).terms == terms
+        # with a degree-4 and a degree-0 part alongside
+        mixed = dict(terms)
+        mixed.update({(2, 4, 1, 3): pool[0], (): pool[1]})
+        f = fqsym.FqsymElement(ring, fqsym.G, mixed)
+        assert fqsym.m_to_g(fqsym.g_to_m(f)).terms == mixed
+
+
 def test_inverse_inversion_masks_orientation():
-    for n in range(7):
+    # n <= 7: the first-letter recursion pair by pair up to the monomial cap
+    for n in range(8):
         table = inverse_inversion_masks(n)
         assert list(table) == list(permutations(n))
         for sigma, mask in table.items():
@@ -375,6 +404,20 @@ def test_complete_monomial_expansion_examples():
     # q = 0 degenerates to the sum of all monomials
     zero_q = fqsym.complete_monomial_expansion(3, QQ(0))
     assert zero_q.terms == {p: QQ(1) for p in permutations(3)}
+
+
+def test_complete_monomial_expansion_counts_the_minima():
+    # the first-letter count against the one-scan reference, in key order
+    for q in (QQq.q, QQ(0), QQ(1), QQ(3)):
+        ring = ring_of(q)
+        for n in range(8):
+            expected = {}
+            for sigma in permutations(n):
+                c = (ring(1) - ring(q)) ** left_right_minima(sigma)[1]
+                if c:
+                    expected[sigma] = c
+            got = fqsym.complete_monomial_expansion(n, q)
+            assert got.terms == expected and list(got.terms) == list(expected), (q, n)
 
 
 def test_appendix_monomial_expansion_small():
