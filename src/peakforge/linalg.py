@@ -39,6 +39,7 @@ pivot through :func:`~peakforge.scalars.divide_row`.
 from __future__ import annotations
 
 from functools import cache
+from types import MappingProxyType
 
 from .scalars import Cyclo, divide_row, elimination_kernel, scalar_str
 
@@ -210,17 +211,17 @@ class GradedSubspace:
         return out
 
     @property
-    def column_index(self) -> dict:
-        """Ambient key -> its column: the index shared by every span over
-        the same key tuple, which the caller must not change."""
-        return self._index
+    def column_index(self):
+        """Ambient key -> its column, read-only: a view of the index shared
+        by every span over the same key tuple."""
+        return MappingProxyType(self._index)
 
     def column_rows(self) -> list:
         """The stored echelon rows, keyed by column (label columns too, in
-        a tracked span), sorted by pivot: the span's own dicts, which the
-        caller must not change."""
+        a tracked span), sorted by pivot: read-only views of the span's
+        own dicts."""
         rows = self._rows
-        return [rows[p] for p in sorted(rows)]
+        return [MappingProxyType(rows[p]) for p in sorted(rows)]
 
     def pivot_keys(self):
         return [self.keys[i] for i in sorted(self._rows)]

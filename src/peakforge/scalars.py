@@ -11,11 +11,10 @@ Three coefficient fields are supported, all exact:
   and a k-th power is N^k/D^k with no gcd;
 * ``cyclotomic_field(r)`` -- Q(zeta_r) = Q[x]/Phi_r(x), whose elements are
   :class:`Cyclo` integer coefficient vectors of length phi(r) over a common
-  denominator.  Each field holds one table, x^j mod Phi_r for j < r, which
-  reduces products and evaluates integer polynomials at zeta (for
-  :func:`specialize`).  The inverse of a rational is one division; of any
-  other element, over a field of degree 2 (r = 3, 4, 6), its conjugate
-  over its norm, in closed form; over a field of degree 3 or more, the
+  denominator.  Each field keeps Phi_r and x^phi(r) reduced, nothing that
+  grows with r: products, and integer polynomials evaluated at zeta (for
+  :func:`specialize`), reduce modulo Phi_r from the top coefficient down.
+  The inverse of a rational is one division; of any other element, the
   extended Euclidean algorithm modulo Phi_r in its fraction-free form
   (the subresultant remainder sequence, all in integers).
 
@@ -507,45 +506,35 @@ def cyclotomic_polynomial(r: int) -> tuple[int, ...]:
 class CyclotomicField:
     """Q(zeta_r) realized as Q[x]/Phi_r(x); use :func:`cyclotomic_field`.
 
-    ``powers[j]`` is x^j mod Phi_r as an integer vector, for j < r; since
-    Phi_r divides x^r - 1, these r vectors reduce every power of zeta."""
+    The field keeps Phi_r (``modulus``, monic of degree d = phi(r)) and
+    ``xd``, the vector of x^d reduced, -Phi_r[:d]; an integer polynomial
+    reduces by ``xd`` from its top coefficient down (:meth:`_at`)."""
 
     def __init__(self, order: int):
         self.order = order
         self.modulus = cyclotomic_polynomial(order)
         self.degree = d = len(self.modulus) - 1
-        low = [-c for c in self.modulus[:-1]]  # x^d = sum low[i] x^i
-        vec = [1] + [0] * (d - 1)
-        powers = []
-        for _ in range(order):
-            powers.append(tuple(vec))
-            top = vec[-1]
-            vec = [0] + vec[:-1]
-            if top:
-                for i, c in enumerate(low):
-                    vec[i] += top * c
-        self.powers = tuple(powers)
+        self.xd = tuple(-c for c in self.modulus[:-1])  # x^d = sum xd[i] x^i
         self.name = f"QQ(zeta_{order})"
         self.zero = Cyclo(self, (0,) * d, 1)
-        self.one = Cyclo(self, self.powers[0], 1)
-        self.zeta = Cyclo(self, self.powers[1 % order], 1)
+        self.one = Cyclo(self, (1,) + (0,) * (d - 1), 1)
+        self.zeta = Cyclo(self, self._at((0, 1)), 1)
 
     def _at(self, coeffs):
         """The integer vector of sum_i coeffs[i] * zeta^i, for an integer
-        polynomial ``coeffs`` of any length."""
-        r, d = self.order, self.degree
-        acc = list(coeffs[:r])
-        for i in range(r, len(coeffs)):
-            acc[i % r] += coeffs[i]
-        out = acc[:d] + [0] * (d - len(acc))
-        powers = self.powers
-        for j in range(d, len(acc)):
-            c = acc[j]
+        polynomial ``coeffs`` of any length: its remainder modulo Phi_r.
+        Each coefficient from the top down to degree d is replaced by its
+        multiple of ``xd``, d places lower, skipping the zeros of Phi_r."""
+        d = self.degree
+        acc = list(coeffs)
+        xd = self.xd
+        for i in range(len(acc) - 1, d - 1, -1):
+            c = acc[i]
             if c:
-                for t, p in enumerate(powers[j]):
-                    if p:
-                        out[t] += c * p
-        return tuple(out)
+                for j, m in enumerate(xd, i - d):
+                    if m:
+                        acc[j] += c * m
+        return tuple(acc[:d]) + (0,) * (d - len(acc))
 
     def __call__(self, x, den: int = 1):  # x/den for an int x, den > 0
         if isinstance(x, Cyclo):
@@ -580,15 +569,15 @@ class Cyclo(_FieldElement):
     """An element of Q(zeta_r): integer coefficient vector over a common
     positive denominator, reduced mod Phi_r, gcd one.
 
-    Fields of degree 1 and 2 (r = 1, 2, 3, 4, 6) multiply in closed form and
-    degree 2 also inverts in closed form; higher degrees convolve and reduce
-    through the field's table of zeta powers, and invert by
-    :func:`_int_inverse_mod`, all in integers.
+    Fields of degree 2 (r = 3, 4, 6) multiply in closed form, by
+    x^2 = m0 + m1*x; every other degree convolves and reduces modulo Phi_r
+    (:meth:`CyclotomicField._at`).  A rational inverts by one division, any
+    other element by :func:`_int_inverse_mod`, all in integers.
 
     Elimination in degree 1 and 2, and row division in degree 2, do not
     come through here entry by entry: :func:`cyclo_subtract_multiple` and
-    :func:`divide_row` apply the same closed forms to the integer vectors
-    of whole sparse rows."""
+    :func:`divide_row` apply closed forms to the integer vectors of whole
+    sparse rows."""
 
     __slots__ = ("field", "vec", "den")
 
@@ -675,11 +664,8 @@ class Cyclo(_FieldElement):
         field = self.field
         a, b = self.vec, other.vec
         d = field.degree
-        if d == 1:
-            out = (a[0] * b[0],)
-        elif d == 2:
-            # x^2 = m0 + m1*x
-            m0, m1 = field.powers[2]
+        if d == 2:
+            m0, m1 = field.xd  # x^2 = m0 + m1*x
             a0, a1 = a
             b0, b1 = b
             t = a1 * b1
@@ -727,9 +713,6 @@ class Cyclo(_FieldElement):
             if not a[0]:
                 raise ZeroDivisionError("inverse of zero cyclotomic element")
             return Cyclo(field, (self.den,) + (0,) * (d - 1), a[0])
-        if d == 2:
-            q0, q1, norm = _conjugate_over_norm(field, a)
-            return Cyclo(field, (self.den * q0, self.den * q1), norm)
         s, c = _int_inverse_mod(_pstrip(a), field.modulus)
         return Cyclo(field, tuple([self.den * v for v in s]) + (0,) * (d - len(s)), c)
 
@@ -761,7 +744,7 @@ def _conjugate_over_norm(field, a):
     integer vector a of a nonzero element of a field of degree 2: q is the
     conjugate a0 + a1*x' (x + x' = m1, x*x' = -m0) and N the norm, which
     is positive, since these fields are imaginary quadratic."""
-    m0, m1 = field.powers[2]
+    m0, m1 = field.xd
     a0, a1 = a
     return a0 + m1 * a1, -a1, a0 * a0 + m1 * a0 * a1 - m0 * a1 * a1
 
@@ -906,9 +889,10 @@ def cyclo_subtract_multiple(target: dict, c: Cyclo, row: dict):
 
     The elimination kernel of :class:`~peakforge.linalg.GradedSubspace`
     over Q(zeta_r), r = 1, 2, 3, 4, 6.  An entry whose c, row and target
-    values all have denominator 1 is computed on the integer vectors, by
-    the closed forms of :meth:`Cyclo.__mul__`; any other goes through
-    ``Cyclo`` arithmetic.  Both give the same canonical values."""
+    values all have denominator 1 is computed on the integer vectors, in
+    closed form (an integer product in degree 1, the degree-2 product of
+    :meth:`Cyclo.__mul__`); any other goes through ``Cyclo`` arithmetic.
+    Both give the same canonical values."""
     field = c.field
     integral = c.den == 1
     if field.degree == 1:
@@ -928,7 +912,7 @@ def cyclo_subtract_multiple(target: dict, c: Cyclo, row: dict):
             else:
                 _subtract_entry(target, j, t, c, rc)
         return
-    m0, m1 = field.powers[2]  # x^2 = m0 + m1*x
+    m0, m1 = field.xd  # x^2 = m0 + m1*x
     c0, c1 = c.vec
     for j, rc in row.items():
         t = target.get(j)
@@ -967,7 +951,7 @@ def divide_row(row: dict, p) -> dict:
         return {j: c * inv for j, c in row.items()}
     field = p.field
     out = {}
-    m0, m1 = field.powers[2]  # x^2 = m0 + m1*x
+    m0, m1 = field.xd  # x^2 = m0 + m1*x
     q0, q1, norm = _conjugate_over_norm(field, p.vec)
     q0 *= p.den
     q1 *= p.den

@@ -477,3 +477,25 @@ def test_column_route_builds_the_key_route_span(r):
     assert by_column.basis() == by_key.basis()
     assert by_column.column_rows() == by_key.column_rows()
     assert [keys[min(row)] for row in by_key.column_rows()] == by_key.pivot_keys()
+
+
+def test_column_views_are_read_only():
+    # the index is shared by every span over the same key tuple, and the
+    # rows belong to a cached frozen span: neither can be written through
+    from peakforge import peak
+
+    space = peak.mr_sharp_subspace(3, 3)
+    rows = [dict(row) for row in space.column_rows()]
+    index = space.column_index
+    with pytest.raises(TypeError):
+        del index[space.keys[0]]
+    with pytest.raises(TypeError):
+        index[("x",)] = 0
+    for row in space.column_rows():
+        with pytest.raises(TypeError):
+            row[min(row)] = space.ring.zero
+        with pytest.raises(TypeError):
+            del row[min(row)]
+    assert [dict(row) for row in space.column_rows()] == rows
+    peak.mr_sharp_subspace.cache_clear()
+    assert peak.mr_sharp_subspace(3, 3).basis() == space.basis()

@@ -1,6 +1,7 @@
 import ast
 import random
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from peakforge.scalars import (
     QQ,
     QQq,
     Cyclo,
+    CyclotomicField,
     RatFunc,
     SpecializationError,
     _from_kronecker,
@@ -130,24 +132,56 @@ def test_cyclo_inverse_and_division():
         field.zero.inverse()
 
 
+@cache
+def _zeta_powers(r):
+    """x^j mod Phi_r for j < r, each reduced from x times the last by the
+    Fraction reference ``_pdivmod``, not by the field; Phi_r is monic, so
+    every coefficient is an integer."""
+    modulus = tuple(map(Fraction, cyclotomic_polynomial(r)))
+    out = [(Fraction(1),)]
+    for _ in range(1, r):
+        out.append(_pdivmod((Fraction(0),) + out[-1], modulus)[1])
+    assert all(c.denominator == 1 for p in out for c in p)
+    return [tuple(map(int, p)) for p in out]
+
+
 def _norm_inverse(x):
     """Reference inverse: 1/a is the product of the other conjugates of a
     over the norm N(a), a rational; a conjugate a(zeta^k), k prime to r,
-    is read off through the field's table of zeta powers."""
+    is summed from :func:`_zeta_powers`."""
     field = x.field
     r = field.order
+    powers = _zeta_powers(r)
     rest = field.one
     for k in range(2, r):
         if gcd(k, r) == 1:
-            acc = [0] * r
+            conjugate = [0] * field.degree
             for i, c in enumerate(x.vec):
-                acc[i * k % r] += c
-            rest = rest * Cyclo(field, field._at(acc))
+                for t, p in enumerate(powers[i * k % r]):
+                    conjugate[t] += c * p
+            rest = rest * Cyclo(field, conjugate)
     norm = (Cyclo(field, x.vec) * rest).vec[0]
     return Cyclo(field, tuple(x.den * v for v in rest.vec), norm)
 
 
-@pytest.mark.parametrize("r", [5, 7, 8, 12, 240])
+def test_a_field_holds_nothing_that_grows_with_its_order():
+    # Q(zeta_1009) has degree 1008: the field keeps Phi_r and a few vectors
+    # of that length, about 8 KB each, and no table of r of them
+    import tracemalloc
+
+    cyclotomic_polynomial(1009)  # cached, so only the field is measured
+    tracemalloc.start()
+    try:
+        field = CyclotomicField(1009)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+    assert field.zeta.vec[:3] == (0, 1, 0)
+    assert field._at((0,) * 1009 + (1,)) == field.one.vec  # zeta^1009 = 1
+
+
+@pytest.mark.parametrize("r", [3, 4, 6, 5, 7, 8, 12, 240])
 def test_euclidean_inverse_matches_the_norm_inverse(r):
     field = cyclotomic_field(r)
     rng = random.Random(r)
