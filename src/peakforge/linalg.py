@@ -223,6 +223,31 @@ class GradedSubspace:
         rows = self._rows
         return [MappingProxyType(rows[p]) for p in sorted(rows)]
 
+    def residue_map(self):
+        """Column k -> NF(e_k), the normal form of the unit vector e_k,
+        for every ambient column whose e_k is not in an untracked span:
+        ``{k: 1}`` for a non-pivot column, the negated off-pivot part of
+        its row for a pivot whose row has other entries; a pivot whose row
+        is e_p is absent.  Read-only views, built at each call.
+
+        Lemma: the rows are fully reduced, so e_p less its row holds no
+        pivot column, and e_k - NF(e_k) lies in the span for every k.
+        Hence x - sum_k x_k NF(e_k) lies in the span, and the sum has no
+        pivot column, so it is the remainder of x, which :meth:`contains`
+        tests: x lies in the span iff sum_k x_k NF(e_k) = 0."""
+        if self._labels is not None:
+            raise TypeError(f"{self!r} is tracked, so its rows carry label columns")
+        rows = self._rows
+        one = self.ring.one
+        out = {}
+        for k in range(len(self.keys)):
+            row = rows.get(k)
+            if row is None:
+                out[k] = MappingProxyType({k: one})
+            elif len(row) > 1:
+                out[k] = MappingProxyType({j: -c for j, c in row.items() if j != k})
+        return MappingProxyType(out)
+
     def pivot_keys(self):
         return [self.keys[i] for i in sorted(self._rows)]
 

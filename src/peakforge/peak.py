@@ -14,10 +14,9 @@ from __future__ import annotations
 from functools import cache
 from itertools import accumulate
 
-from .algebra import internal
 from .combinatorics import format_composition, sorted_compositions, type_b_compositions
 from .linalg import GradedSubspace
-from .scalars import QQ, QQq, cyclotomic_field
+from .scalars import QQ, QQq, Cyclo, cyclotomic_field
 from . import mr, oracle, sym
 
 PEAK = "peak"
@@ -208,20 +207,70 @@ def closure_check(sub: GradedSubspace, ideal: bool = False):
     must stay inside (left ideal over the whole graded component).
     Returns (ok, witness) where the witness names the first failing pair,
     ``"<left key> * <right key>"``; a row is named by its pivot key.
+
+    Lemma: the rows are fully reduced, so a vector x lies in the span iff
+    its normal form sum_k x_k NF(e_k) is zero, where NF(e_k) is the
+    span's residue map (:meth:`~peakforge.linalg.GradedSubspace.residue_map`)
+    and a column absent from it has NF(e_k) = 0.  So each product is
+    accumulated only on the residue columns, from the structure constants
+    of each word pair (read once per pair, and kept only on those
+    columns), and tested by its normal form.  An empty residue map is the
+    whole component, closed without a product.  A span is one graded
+    component, so every word pair is of one degree.
     """
+    residue = sub.residue_map()
+    if not residue:
+        return True, None
     colored = any(type(part) is tuple for part in sub.keys[-1])
     element = mr.MrElement if colored else sym.SymElement
-    rows = sub.basis()
+    structure = element.structure
+    keys = sub.keys
+    column = sub.column_index
+    forms = {k: [(j, _integral(c)) for j, c in form.items()] for k, form in residue.items()}
+    rows = [[(j, _integral(c)) for j, c in row.items()] for row in sub.column_rows()]
     pivots = sub.pivot_keys()
     if ideal:
-        lefts = [({key: sub.ring(1)}, key) for key in sub.keys]
+        lefts = [([(i, 1)], key) for i, key in enumerate(keys)]
     else:
         lefts = list(zip(rows, pivots))
+    n = len(keys)
+    # word pair i * n + j -> its (residue column, multiplicity) pairs, each
+    # pair stored once in ``shared``: word pairs repeat most of them, and
+    # the table grows as the square of the component
+    table: dict = {}
+    shared: dict = {}
     for u, utag in lefts:
         for v, vtag in zip(rows, pivots):
-            if not sub.contains(internal(u, v, element.structure, element.key_degree)):
+            acc: dict = {}
+            for i, cu in u:
+                for j, cv in v:
+                    terms = table.get(i * n + j)
+                    if terms is None:
+                        terms = table[i * n + j] = [
+                            shared.setdefault(pair, pair)
+                            for k, mult in structure(keys[i], keys[j])
+                            if (pair := (column[k], mult))[0] in forms
+                        ]
+                    if terms:
+                        c = cu * cv
+                        for col, mult in terms:
+                            s = acc.get(col)
+                            acc[col] = mult * c if s is None else s + mult * c
+            normal: dict = {}
+            for col, a in acc.items():
+                if a:
+                    for j, x in forms[col]:
+                        s = normal.get(j)
+                        normal[j] = a * x if s is None else s + a * x
+            if any(normal.values()):
                 return False, f"{element.key_str(utag)} * {element.key_str(vtag)}"
     return True, None
+
+
+def _integral(c):
+    """A rational-integer Cyclo as an int, which multiplies without a
+    product in the field; any other value as it is."""
+    return c.integer_or_self() if type(c) is Cyclo else c
 
 
 def bsym_closure_check(n: int):

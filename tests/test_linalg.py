@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -499,3 +501,122 @@ def test_column_views_are_read_only():
     assert [dict(row) for row in space.column_rows()] == rows
     peak.mr_sharp_subspace.cache_clear()
     assert peak.mr_sharp_subspace(3, 3).basis() == space.basis()
+
+
+def _normal_form(residue, vec, zero):
+    """sum_k x_k NF(e_k) for a column-keyed vector x."""
+    out = {}
+    for k, c in vec.items():
+        for j, x in residue.get(k, {}).items():
+            out[j] = out.get(j, zero) + c * x
+    return out
+
+
+@pytest.mark.parametrize(
+    "ring, gen",
+    [(QQ, 1), (_Q3, _Q3.zeta), (_Q5, _Q5.zeta)],
+    ids=["Q", "Q(zeta_3)", "Q(zeta_5)"],
+)
+def test_residue_map_tests_membership_as_contains_does(ring, gen):
+    verdicts = set()
+    for seed in range(6):
+        rng = random.Random(seed)
+        n = rng.randint(5, 10)
+        span = GradedSubspace(ring, range(n))
+        vectors = _index_vectors(rng, ring, gen, n)
+        for v in vectors[: n // 2]:
+            span.insert(v)
+        residue = span.residue_map()
+        rows = span.column_rows()
+        pivots = span.pivot_keys()
+        for k in range(n):
+            if k in pivots:
+                off = {j: -c for j, c in rows[pivots.index(k)].items() if j != k}
+                assert residue.get(k) == (off or None)
+            else:
+                assert residue[k] == {k: ring.one}
+        # members too: combinations of the rows
+        members = []
+        for _ in range(4):
+            v = {}
+            for row in rng.sample(rows, min(len(rows), 2)):
+                c = ring(rng.randint(1, 3)) + gen
+                for j, a in row.items():
+                    v[j] = v.get(j, ring.zero) + c * a
+            members.append(v)
+        for v in vectors + members:
+            inside = not any(_normal_form(residue, v, ring.zero).values())
+            assert inside == span.contains(v), (seed, v)
+            verdicts.add(inside)
+    assert verdicts == {True, False}
+    # the whole component leaves no residue
+    full = GradedSubspace(ring, range(3))
+    for k in range(3):
+        full.insert({k: gen + k})
+    assert dict(full.residue_map()) == {}
+
+
+def test_residue_map_is_read_only():
+    field = cyclotomic_field(3)
+    s = GradedSubspace(field, ["x", "y", "z"])
+    s.insert({"x": field.one, "y": field.zeta})
+    residue = s.residue_map()
+    assert dict(residue) == {0: {1: -field.zeta}, 1: {1: field.one}, 2: {2: field.one}}
+    with pytest.raises(TypeError):
+        residue[0] = {}
+    with pytest.raises(TypeError):
+        del residue[1]
+    for form in residue.values():
+        with pytest.raises(TypeError):
+            form[0] = field.one
+    assert s.basis() == [{"x": field.one, "y": field.zeta}]
+    assert s.residue_map() == residue
+
+
+def test_residue_map_refuses_a_tracked_span():
+    # a tracked span's rows carry label columns, which no normal form has
+    s = GradedSubspace(QQ, ["x", "y"], track=True)
+    s.insert({"x": Fraction(1), "y": Fraction(2)}, label="u")
+    with pytest.raises(TypeError, match="tracked"):
+        s.residue_map()
+
+
+def _subspace_private_names() -> set:
+    """The `_`-prefixed names GradedSubspace defines, dunders aside: its
+    methods and the attributes it sets on ``self``."""
+    source = (Path(__file__).resolve().parents[1] / "src" / "peakforge" / "linalg.py").read_text()
+    (cls,) = [
+        node
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef) and node.name == "GradedSubspace"
+    ]
+    names = set()
+    for node in ast.walk(cls):
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute) and ast.unparse(node.value) == "self":
+            names.add(node.attr)
+    return {name for name in names if name.startswith("_") and not name.endswith("__")}
+
+
+def _private_subspace_reads(source: str, private: set) -> list:
+    """Every attribute read of one of the names in ``private``, whatever
+    object it is read from: a span reaches a module under any name."""
+    return [
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in private
+    ]
+
+
+def test_no_other_module_reads_private_names_of_a_subspace():
+    private = _subspace_private_names()
+    assert {"_rows", "_index", "_reduce", "_indexed", "_labels", "_holders"} <= private
+    package = Path(__file__).resolve().parents[1] / "src" / "peakforge"
+    for path in sorted(package.glob("*.py")):
+        if path.name != "linalg.py":
+            assert _private_subspace_reads(path.read_text(), private) == [], path.name
+    # the check sees a read through any name, and only private ones
+    assert _private_subspace_reads("sub._rows[0]", private) == ["_rows"]
+    assert _private_subspace_reads("peak.unital_peak_subspace(3, 3)._reduce(v)", private) == ["_reduce"]
+    assert _private_subspace_reads("sub.residue_map()\nsub.__repr__()", private) == []

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 from peakforge import mr, oracle, peak, sym
-from peakforge.algebra import S
+from peakforge.algebra import S, internal
 from peakforge.combinatorics import colored_compositions, compositions, type_b_compositions
 from peakforge.linalg import GradedSubspace
 from peakforge.scalars import QQ, QQq, cyclotomic_field, specialize
@@ -117,25 +117,97 @@ def test_closure_negative_control():
     assert witness is not None
 
 
-def _without_first_row(space):
+def _without_row(space, i=0):
+    """The span of the rows of ``space`` less its row ``i``."""
+    rows = space.basis()
+    del rows[i]
     out = GradedSubspace(space.ring, space.keys, degree=space.degree)
-    for row in space.basis()[1:]:
+    for row in rows:
         out.insert(row)
     return out
+
+
+def _pairwise_closure(sub, ideal=False):
+    """The closure check product by product, the reference for the
+    residue-column kernel: each product formed in full by
+    ``algebra.internal`` from key-indexed rows and tested by ``contains``."""
+    colored = any(type(part) is tuple for part in sub.keys[-1])
+    element = mr.MrElement if colored else sym.SymElement
+    rows = sub.basis()
+    pivots = sub.pivot_keys()
+    if ideal:
+        lefts = [({key: sub.ring(1)}, key) for key in sub.keys]
+    else:
+        lefts = list(zip(rows, pivots))
+    for u, utag in lefts:
+        for v, vtag in zip(rows, pivots):
+            if not sub.contains(internal(u, v, element.structure, element.key_degree)):
+                return False, f"{element.key_str(utag)} * {element.key_str(vtag)}"
+    return True, None
+
+
+@pytest.mark.parametrize(
+    "builder, orders, n_max, ideal",
+    [
+        (peak.peak_subspace, (2, 3), 4, True),
+        (peak.unital_peak_subspace, (2, 3, 4, 5), 5, False),
+        (peak.mr_sharp_module_subspace, (2, 3), 4, False),
+        (peak.mr_sharp_subspace, (3, 4), 4, True),
+    ],
+    ids=["peak", "unital-peak", "q-ring", "q-module"],
+)
+def test_closure_kernel_matches_the_pairwise_route(builder, orders, n_max, ideal):
+    # the closed spans, and each of them less its first or its last row,
+    # whose first failing pair the two routes must name alike
+    verdicts = set()
+    for r in orders:
+        for n in range(n_max + 1):
+            full = builder(n, r)
+            for sub in (full, _without_row(full, 0), _without_row(full, -1)):
+                result = peak.closure_check(sub, ideal)
+                assert result == _pairwise_closure(sub, ideal), (r, n, sub.rank)
+                verdicts.add(result[0])
+            assert peak.closure_check(full, ideal) == (True, None)
+    assert verdicts == {True, False}
+
+
+def test_closure_kernel_matches_the_pairwise_route_off_the_builders():
+    # the Fraction span of the negative control, and Q(zeta_5) spans whose
+    # rows hold entries that are not integers
+    rational = GradedSubspace(QQ, sorted(compositions(3)), degree=3)
+    rational.insert({(1, 2): Fraction(1), (3,): Fraction(1)})
+    field = cyclotomic_field(5)
+    z = field.zeta
+    spans = [rational]
+    for n in (3, 4):
+        keys = sorted(compositions(n))
+        span = GradedSubspace(field, keys, degree=n)
+        span.insert({keys[1]: z / 2, keys[-2]: 1 + z**2, keys[-1]: field(3)})
+        span.insert({keys[0]: field.one, keys[-1]: z - z**3})
+        span.insert({key: z**i / (i + 1) for i, key in enumerate(keys)})
+        assert any(
+            type(c.integer_or_self()) is not int
+            for row in span.column_rows()
+            for c in row.values()
+        )
+        spans.append(span)
+    for sub in spans:
+        for ideal in (False, True):
+            assert peak.closure_check(sub, ideal) == _pairwise_closure(sub, ideal)
 
 
 def test_closure_witness_names_the_keys():
     # one row short of a closed span, the first product that leaves it is
     # named by key strings, with bars as minus signs at level 2
-    sub = _without_first_row(peak.unital_peak_subspace(3, 3))
+    sub = _without_row(peak.unital_peak_subspace(3, 3))
     assert peak.closure_check(sub) == (False, "1,2 * 1,2")
-    sub = _without_first_row(peak.mr_sharp_module_subspace(2, 3))
+    sub = _without_row(peak.mr_sharp_module_subspace(2, 3))
     assert peak.closure_check(sub) == (False, "1,-1 * 1,-1")
     # over Q(zeta_2), whose products run on integers
-    sub = _without_first_row(peak.mr_sharp_module_subspace(3, 2))
+    sub = _without_row(peak.mr_sharp_module_subspace(3, 2))
     assert peak.closure_check(sub) == (False, "1,-1,1 * 1,-1,1")
     assert peak.closure_check(peak.mr_sharp_subspace(3, 2), ideal=True) == (True, None)
-    sub = _without_first_row(peak.mr_sharp_subspace(3, 2))
+    sub = _without_row(peak.mr_sharp_subspace(3, 2))
     assert peak.closure_check(sub, ideal=True) == (False, "1,1,1 * 1,-1,1")
 
 
@@ -164,7 +236,7 @@ def test_bsym_check_names_an_element_outside_the_q_ring(monkeypatch):
 def test_bsym_check_fails_on_a_q_ring_span_of_another_rank(monkeypatch):
     full = peak.mr_sharp_module_subspace(2, 2)
     assert not full.contains(_OUTSIDE)
-    short = _without_first_row(full)
+    short = _without_row(full)
     monkeypatch.setattr(peak, "mr_sharp_module_subspace", lambda n, r: short)
     assert peak.bsym_closure_check(2) == (False, "0,1,1 outside the q-ring span")
     # one row over: every type-B element still lies inside, the ranks differ
@@ -176,9 +248,11 @@ def test_bsym_check_fails_on_a_q_ring_span_of_another_rank(monkeypatch):
 
 
 def test_bsym_closure_failure_is_the_q_ring_witness(monkeypatch):
-    # every product lands outside the shared span: both routes name the
-    # same pair of pivot keys
-    monkeypatch.setattr(peak, "internal", lambda *args: _OUTSIDE)
+    # every word pair's structure constants land outside the shared span,
+    # so every product does (the rows' coefficient sums are nonzero): both
+    # routes name the same pair of pivot keys
+    (outside,) = _OUTSIDE
+    monkeypatch.setattr(mr.MrElement, "structure", staticmethod(lambda I, J: ((outside, 1),)))
     witness = (False, "1,1 * 1,1")
     assert peak.closure_check(peak.mr_sharp_module_subspace(2, 2)) == witness
     assert peak.bsym_closure_check(2) == witness
