@@ -262,7 +262,7 @@ def word_product(f: WordElement, g: WordElement):
     a, b = f.convert(S)._aligned(g.convert(S))
     bound = merge_bounds(a.bound, b.bound)
     limit = inf if bound is None else bound
-    terms = over_integers(_concatenate, (a.terms, b.terms), f.key_degree, limit)
+    terms = over_integers(concatenate, (a.terms, b.terms), f.key_degree, limit)
     return type(f)(a.ring, S, terms, bound=bound).convert(f.basis)
 
 
@@ -390,7 +390,7 @@ def _internal(u: dict, v: dict, structure, degree) -> dict:
     return out
 
 
-def _concatenate(u: dict, v: dict, degree, limit) -> dict:
+def concatenate(u: dict, v: dict, degree, limit) -> dict:
     """Concatenation product of two term dicts, keeping the words of
     degree at most ``limit``."""
     right: dict = {}

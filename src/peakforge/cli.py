@@ -164,7 +164,7 @@ def cmd_closure(args):
         f"  degree {r['degree']}: {'closed' if r['ok'] else 'NOT closed: ' + r['witness']}"
         for r in results
     ]
-    return ok_all, {"results": results}, lines
+    return ok_all, {"algebra": args.algebra, "r": args.r, "results": results}, lines
 
 
 def cmd_klyachko(args):
@@ -300,7 +300,12 @@ def cmd_identities(args):
     ok, _, _ = peak.pm_one_identity_check(args.q, args.max_degree)
     name = "f^2 = g^2 + 4" if args.q == 1 else "(f+2)^2 = g^2 + 4"
     lines = [f"q={args.q}: {name} up to degree {args.max_degree}: {ok}"]
-    return ok, {"ok": ok}, lines
+    payload = {"ok": ok, "q": args.q, "max_degree": args.max_degree}
+    if not ok:
+        word, lhs, rhs = peak.pm_one_identity_witness(args.q, args.max_degree)
+        payload["witness"] = {"word": word, "lhs": lhs, "rhs": rhs}
+        lines.append(f"  first difference at {word}: {lhs} on the left, {rhs} on the right")
+    return ok, payload, lines
 
 
 def _terminal_width() -> int:

@@ -11,9 +11,10 @@ All ranks are computed exactly over Q(zeta_r); nothing here is numerical.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from itertools import accumulate
 
+from .algebra import concatenate, expand_letters
 from .combinatorics import format_composition, sorted_compositions, type_b_compositions
 from .linalg import GradedSubspace
 from .scalars import QQ, QQq, Cyclo, cyclotomic_field
@@ -71,11 +72,15 @@ def predicted_dimensions(algebra: str, r: int, n_max: int):
 
 def sharp_module_candidates(r: int, n_max: int) -> dict:
     """All candidate dimension predictions for the level-2 right module:
-    the direct series, the partial sums of the image series, and (at r = 2)
-    the type-B descent algebra dimensions 2^n."""
+    the direct series, the partial sums of the image series, for even r
+    the odd-r series 1/(1-2(t+...+t^(r/2))) with r/2 in place of r, and
+    (at r = 2) the type-B descent algebra dimensions 2^n."""
     label, values = predicted_dimensions(MR_SHARP_MODULE, r, n_max)
     _, image = predicted_dimensions(MR_SHARP, r, n_max)
     out = {label: values, f"H_{r}(t)/(1-t)": list(accumulate(image))}
+    if r % 2 == 0:
+        half = r // 2
+        out[f"1/(1-2(t+...+t^{half}))"] = series_coefficients([1], [1] + [-2] * half, n_max)
     if r == 2:
         out["2^n"] = [2**n for n in range(n_max + 1)]
     return out
@@ -339,23 +344,73 @@ def pm_one_identity_check(q_value: int, n_max: int):
 
     Sharp is an algebra map, so both read (F + 2)^2 = G^2 + 4 with
     F = sharp(sum S_n^{q^n}) and G = sharp(sum S_n^{-q^n}): identities
-    between truncated series in the level-2 algebra.  Returns (ok, f, g).
+    between truncated series in the level-2 algebra.  Returns (ok, f, g),
+    f and g over Q.
+
+    Lemma: the check is exact in Z.  At q = +-1 every multiplier
+    (-1)^len(I) q^i of the letter images is +-1, so F, G and both sides
+    have integer coefficients, and Z is a subring of Q: sums and products
+    of integers are the same in both, so the two sides are equal over Q
+    exactly when their integer terms, zeros dropped, are equal.
     """
+    f, g, lhs, rhs = _pm_one_sides(q_value, n_max)
+    return lhs == rhs, _over_q(f, n_max), _over_q(g, n_max)
+
+
+def pm_one_identity_witness(q_value: int, n_max: int):
+    """None when :func:`pm_one_identity_check` holds; otherwise the first
+    word, in sorted order, where (F + 2)^2 and G^2 + 4 differ, as
+    (word, coefficient in (F + 2)^2, coefficient in G^2 + 4)."""
+    _, _, lhs, rhs = _pm_one_sides(q_value, n_max)
+    words = [w for w in lhs.keys() | rhs.keys() if lhs.get(w, 0) != rhs.get(w, 0)]
+    if not words:
+        return None
+    word = min(words)
+    return mr.MrElement.key_str(word), lhs.get(word, 0), rhs.get(word, 0)
+
+
+# the constant term of G^2 + 4
+_PM_ONE_CONSTANT = 4
+
+
+@cache
+def _pm_one_letter(q_value: int, letter) -> tuple:
+    """``mr._sharp_letter`` at q = +-1, each multiplier an int."""
+    return tuple((w, int(c)) for w, c in mr._sharp_letter(QQ(q_value), letter))
+
+
+def _pm_one_sides(q_value: int, n_max: int):
+    """(f, g, (F + 2)^2, G^2 + 4) of :func:`pm_one_identity_check` as
+    integer term dicts, the last two truncated at ``n_max`` with zeros
+    dropped."""
     if q_value not in (1, -1):
         raise ValueError("q must be +1 or -1")
-    ring = QQ
-    unit = mr.unit(ring).truncate(n_max)
+    table = partial(_pm_one_letter, q_value)
 
     def sharp_sum(sign):  # sharp(sum S_n^{sign q^n})
-        total = mr.MrElement.zero(ring, mr.S).truncate(n_max)
+        letters = {}
         for n in range(1, n_max + 1):
-            total = total + _plus_minus(ring, n, sign * q_value**n)
-        return mr.superization(total, ring(q_value))
+            letters[((n, 0),)] = 1
+            letters[((n, 1),)] = sign * q_value**n
+        return {w: c for w, c in expand_letters(letters, table).items() if c}
+
+    def square(u):
+        return concatenate(u, u, mr.MrElement.key_degree, n_max)
 
     F, g = sharp_sum(1), sharp_sum(-1)
-    f = F + 2 * unit
-    ok = mr.product(f, f) == mr.product(g, g) + 4 * unit
-    return ok, (f if q_value == 1 else F), g
+    f = {**F, (): 2}
+    lhs = {w: c for w, c in square(f).items() if c}
+    rhs = square(g)
+    rhs[()] = rhs.get((), 0) + _PM_ONE_CONSTANT
+    rhs = {w: c for w, c in rhs.items() if c}
+    return (f if q_value == 1 else F), g, lhs, rhs
+
+
+def _over_q(terms: dict, n_max: int) -> mr.MrElement:
+    """The integer terms as an element over Q, truncated at ``n_max``; one
+    Fraction per distinct coefficient."""
+    rational = {c: QQ(c) for c in set(terms.values())}
+    return mr.MrElement(QQ, mr.S, {w: rational[c] for w, c in terms.items()}, bound=n_max)
 
 
 # --------------------------------------------------------------------------

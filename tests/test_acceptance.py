@@ -177,6 +177,7 @@ def test_criterion_10_module_discrepancy_report():
     assert matches["2^n"] is True
     assert matches["H_2(t)/(1-t)"] is True
     assert matches["1/(1-2(t+...+t^2)+t^1)"] is False
+    assert matches["1/(1-2(t+...+t^1))"] is True
     # every candidate is reported; none of them gates the run
-    assert len(report["candidates"]) == 3
-    _report(10, "even-r module dimensions reported against all three candidates", t0, 300)
+    assert len(report["candidates"]) == 4
+    _report(10, "even-r module dimensions reported against all four candidates", t0, 300)

@@ -185,7 +185,7 @@ def _word_keyed_loop(op, f, g):
     own arithmetic, with no grouping by degree and no integer clearing;
     cancelled keys are dropped once, at the end, as Element does."""
     if op is mr.product:
-        out = algebra._concatenate(f.terms, g.terms, f.key_degree, inf)
+        out = algebra.concatenate(f.terms, g.terms, f.key_degree, inf)
     else:
         out = {}
         for I, cu in f.terms.items():
@@ -399,8 +399,8 @@ def _kernel_cases(u_sym, v_sym, u_mr, v_mr, u_perm, v_perm):
     return [
         (algebra._internal, (u_sym, v_sym), (sym.internal_structure, sum)),
         (algebra._internal, (u_mr, v_mr), (mr.internal_structure, mr.MrElement.key_degree)),
-        (algebra._concatenate, (u_mr, v_mr), (mr.MrElement.key_degree, inf)),
-        (algebra._concatenate, (u_sym, v_sym), (sum, 4)),
+        (algebra.concatenate, (u_mr, v_mr), (mr.MrElement.key_degree, inf)),
+        (algebra.concatenate, (u_sym, v_sym), (sum, 4)),
         (algebra._expand, (u_sym,), (ribbons,)),
         (algebra._expand, (u_sym,), (partial(algebra._ribbon_table, add, False),)),
         (algebra._expand, (u_mr,), (mr._forget_colors,)),

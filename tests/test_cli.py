@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from peakforge import cli, mr
+from peakforge import cli, mr, peak
 from peakforge.cli import CAPS, main
 
 
@@ -228,6 +228,29 @@ def test_hilbert_module_report_is_not_gated(capsys):
     assert sources["2^n"] is True
 
 
+@pytest.mark.parametrize("r", [4, 6])
+def test_hilbert_module_even_r_candidate_is_not_gated(r, monkeypatch, capsys):
+    argv = ("hilbert", "--algebra", "mrsharp-module", "--r", str(r), "--max-degree", "5")
+    source = f"1/(1-2(t+...+t^{r // 2}))"
+    code, data = run_json(capsys, *argv)
+    sources = {c["source"]: c["match"] for c in data["report"]["candidates"]}
+    assert code == 0 and sources[source] is True
+    assert not all(sources.values())
+    # a candidate that misses changes its match, never the exit status
+    candidates = peak.sharp_module_candidates
+
+    def missing(r, n_max):
+        out = candidates(r, n_max)
+        out[source] = [0] * (n_max + 1)
+        return out
+
+    monkeypatch.setattr(peak, "sharp_module_candidates", missing)
+    code, data = run_json(capsys, *argv)
+    sources = {c["source"]: c["match"] for c in data["report"]["candidates"]}
+    assert code == 0 and data["ok"] is True
+    assert not any(sources.values())
+
+
 def test_closure_bsym(capsys):
     code, data = run_json(capsys, "closure", "--algebra", "bsym", "--degree", "2")
     assert code == 0
@@ -307,6 +330,55 @@ def test_generators(capsys):
 def test_identities(capsys):
     code, data = run_json(capsys, "identities", "--q", "1", "--max-degree", "3")
     assert code == 0 and data["ok"] is True
+    assert (data["q"], data["max_degree"]) == (1, 3)
+    assert "witness" not in data
+
+
+@pytest.mark.parametrize("q", ["1", "-1"])
+@pytest.mark.parametrize("degree", [0, 1])
+def test_identities_at_degrees_zero_and_one(q, degree, capsys):
+    # degree 0 substitutes no letter, degree 1 the letters of size 1 only
+    code, data = run_json(capsys, "identities", "--q", q, "--max-degree", str(degree))
+    assert code == 0 and data["ok"] is True
+    assert (data["q"], data["max_degree"]) == (int(q), degree)
+    assert "witness" not in data
+
+
+def _flip_first_entry(monkeypatch, letter):
+    """Flip the sign of the first entry of one letter's integer image."""
+    table = peak._pm_one_letter
+
+    def flipped(q_value, x):
+        entries = table(q_value, x)
+        if x != letter:
+            return entries
+        (word, c), *rest = entries
+        return ((word, -c), *rest)
+
+    monkeypatch.setattr(peak, "_pm_one_letter", flipped)
+
+
+@pytest.mark.parametrize("q", ["1", "-1"])
+def test_identities_report_a_flipped_letter_sign(q, monkeypatch, capsys):
+    _flip_first_entry(monkeypatch, (2, 1))
+    code, data = run_json(capsys, "identities", "--q", q, "--max-degree", "1")
+    assert code == 0  # no letter of size 2 below degree 2
+    code, data = run_json(capsys, "identities", "--q", q, "--max-degree", "4")
+    assert code == 1 and data["ok"] is False
+    assert data["witness"] == {"word": "1,1", "lhs": -4, "rhs": 4}
+    code, out = run_cli(capsys, "identities", "--q", q, "--max-degree", "4")
+    assert code == 1
+    assert "first difference at 1,1: -4 on the left, 4 on the right" in out
+    assert out.strip().endswith("FAILED")
+
+
+@pytest.mark.parametrize("q", ["1", "-1"])
+@pytest.mark.parametrize("degree", [0, 3])
+def test_identities_report_a_wrong_constant(q, degree, monkeypatch, capsys):
+    monkeypatch.setattr(peak, "_PM_ONE_CONSTANT", 3)
+    code, data = run_json(capsys, "identities", "--q", q, "--max-degree", str(degree))
+    assert code == 1 and data["ok"] is False
+    assert data["witness"] == {"word": "()", "lhs": 4, "rhs": 3}
 
 
 def test_monomial(capsys):

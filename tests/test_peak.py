@@ -344,6 +344,23 @@ def test_sharp_module_report_r2():
     assert matches["H_2(t)/(1-t)"] is True
     # the even-r closed formula disagrees: the open question, reported only
     assert any(not m for m in matches.values())
+    # at r = 2 the odd-r series at r/2 = 1 is 1/(1 - 2t) = 2^n
+    assert matches["1/(1-2(t+...+t^1))"] is True
+
+
+@pytest.mark.parametrize(
+    "r, dims",
+    [(4, [1, 2, 6, 16, 44, 120]), (6, [1, 2, 6, 18, 52, 152])],
+)
+def test_sharp_module_report_even_r_candidate(r, dims):
+    report = peak.sharp_module_report(r, 5)
+    assert report["dims"] == dims
+    matches = {c["source"]: c["match"] for c in report["candidates"]}
+    assert matches == {
+        f"1/(1-2(t+...+t^{r})+t^{r // 2})": False,
+        f"H_{r}(t)/(1-t)": False,
+        f"1/(1-2(t+...+t^{r // 2}))": True,
+    }
 
 
 def _enumerated_generator_count(n: int, r: int) -> int:
@@ -536,12 +553,22 @@ def test_pm_one_identities():
     with pytest.raises(ValueError):
         peak.pm_one_identity_check(3, 2)
     for q_value in (1, -1):
-        for n_max in range(1, 6):
+        for n_max in range(0, 9):
             ok, f, g = peak.pm_one_identity_check(q_value, n_max)
             want_f, want_g = _pm_one_by_definition(q_value, n_max)
             assert ok
             assert (f.terms, f.bound) == (want_f.terms, want_f.bound), (q_value, n_max)
             assert (g.terms, g.bound) == (want_g.terms, want_g.bound), (q_value, n_max)
+            assert peak.pm_one_identity_witness(q_value, n_max) is None
+
+
+def test_pm_one_letter_is_the_closed_form_at_plus_minus_one():
+    for q_value in (1, -1):
+        for k in range(1, 6):
+            for color in (0, 1):
+                table = peak._pm_one_letter(q_value, (k, color))
+                assert all(type(c) is int and c in (1, -1) for _, c in table)
+                assert table == mr._sharp_letter(QQ(q_value), (k, color))
 
 
 def test_hilbert_report_json_schema():
